@@ -26,10 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-from .core import Circuit, CircuitBuilder, Cnf, code_pos, encode_cnf, eval_circuit
+from .core import Circuit, CircuitBuilder, Cnf, code_pos, cone, encode_cnf, eval_circuit, gate_text
 from .encoder import (
     PrfLayout,
-    _prf_clauses,
     _rfn_parts,
     _sat_circuit,
     build_lrfn,
@@ -144,19 +143,6 @@ class CanonTable:
         form = self._forms[cid]
         return form[1] if form[0] == "or" else (cid,)
 
-    def eval(self, cid: int, a: Sequence[int]) -> bool:
-        """Evaluate a canonical form under an assignment (testing hook)."""
-        form = self._forms[cid]
-        kind = form[0]
-        if kind == "var":
-            return bool(a[form[1] - 1])
-        if kind == "const":
-            return bool(form[1])
-        if kind == "not":
-            return not self.eval(form[1], a)
-        vals = (self.eval(c, a) for c in form[1])
-        return all(vals) if kind == "and" else any(vals)
-
 
 # ---------------------------------------------------------------------------
 # Schemas
@@ -189,21 +175,8 @@ def instantiate_extension(arena: CircuitBuilder, pattern: Circuit, sigma: Sequen
     """Extension axiom schemas are circuits over variables 1..arity."""
     if len(sigma) < pattern.n_vars:
         raise ValueError("extension instance is missing arguments")
-    ids: list[int] = []
-    for g in pattern.gates:
-        if g[0] == "var":
-            ids.append(sigma[g[1] - 1])
-        elif g[0] == "const":
-            ids.append(arena.const(g[1]))
-        elif g[0] == "not":
-            ids.append(arena.not_(ids[g[1]]))
-        elif g[0] == "and":
-            ids.append(arena.and_(ids[g[1]], ids[g[2]]))
-        elif g[0] == "or":
-            ids.append(arena.or_(ids[g[1]], ids[g[2]]))
-        else:
-            ids.append(arena.imp(ids[g[1]], ids[g[2]]))
-    return ids[-1]
+    order = range(len(pattern.gates))
+    return arena.copy(pattern.gates, order, lambda i: sigma[i - 1])[pattern.output]
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +185,9 @@ def instantiate_extension(arena: CircuitBuilder, pattern: Circuit, sigma: Sequen
 # Justifications: ('schema', idx, sigma) / ('ext', idx, sigma) with sigma a
 # tuple of arena node ids, ('mp', j1, j2), ('canon', j).
 CfLine = tuple[int, tuple]
+
+# Justification length by rule, the rule name included.
+_ARITY = {"schema": 3, "ext": 3, "mp": 3, "canon": 2}
 
 
 @dataclass
@@ -236,16 +212,20 @@ def cf_check(
     measure_bits: bool = False,
     table: CanonTable | None = None,
 ) -> CheckReport:
-    """Check every line; ``bit_size`` is 0 unless ``measure_bits``."""
+    """Check every line; ``bit_size`` is 0 unless ``measure_bits`` and the
+    proof checks."""
     ct = table if table is not None else CanonTable(proof.arena)
     arena = proof.arena
-    size = len(cf_serialize(proof).encode()) if measure_bits else 0
 
     def fail(step: int, reason: str) -> CheckReport:
-        return CheckReport(False, step, reason, len(proof.lines), size)
+        return CheckReport(False, step, reason, len(proof.lines), 0)
 
     for t, (node, just) in enumerate(proof.lines):
-        rule = just[0]
+        rule = just[0] if just else None
+        if rule not in _ARITY:
+            return fail(t, f"unknown rule {rule!r}")
+        if len(just) != _ARITY[rule]:
+            return fail(t, f"malformed {rule} justification")
         if rule in ("schema", "ext"):
             idx, sigma = just[1], just[2]
             try:
@@ -264,14 +244,13 @@ def cf_check(
             want = ct.mk_imp(ct.canon(proof.lines[j2][0]), ct.canon(node))
             if ct.canon(proof.lines[j1][0]) != want:
                 return fail(t, "major premise does not imply this line")
-        elif rule == "canon":
+        else:
             j = just[1]
             if not 0 <= j < t:
                 return fail(t, "premise index out of range")
             if ct.canon(proof.lines[j][0]) != ct.canon(node):
                 return fail(t, "line is not a canonization of its premise")
-        else:
-            return fail(t, f"unknown rule {rule!r}")
+    size = len(cf_serialize(proof).encode()) if measure_bits else 0
     return CheckReport(True, None, None, len(proof.lines), size)
 
 
@@ -279,33 +258,9 @@ def cf_serialize(proof: CfProof) -> str:
     """Emit-only text form: the arena gate list restricted to the nodes the
     proof mentions, then one line per step naming the rule, any schema
     arguments, and the step's circuit."""
-    needed: set[int] = set()
-    stack: list[int] = []
-    for node, just in proof.lines:
-        stack.append(node)
-        if just[0] in ("schema", "ext"):
-            stack.extend(just[2])
     nodes = proof.arena.nodes
-    while stack:
-        x = stack.pop()
-        if x in needed:
-            continue
-        needed.add(x)
-        g = nodes[x]
-        if g[0] not in ("var", "const"):
-            stack.extend(g[1:])
     out = [f"inputs {proof.arena.n_vars}"]
-    for x in sorted(needed):
-        g = nodes[x]
-        if g[0] == "var":
-            rhs = f"var {g[1]}"
-        elif g[0] == "const":
-            rhs = f"const {g[1]}"
-        elif g[0] == "not":
-            rhs = f"not g{g[1]}"
-        else:
-            rhs = f"{g[0]} g{g[1]} g{g[2]}"
-        out.append(f"g{x} := {rhs}")
+    out += [f"g{x} := {gate_text(nodes[x])}" for x in cone(nodes, _roots(proof))]
     for node, just in proof.lines:
         if just[0] == "schema":
             args = "".join(f" g{s}" for s in just[2])
@@ -319,6 +274,17 @@ def cf_serialize(proof: CfProof) -> str:
             head = f"C {just[1]}"
         out.append(f"{head} : g{node}")
     return "\n".join(out) + "\n"
+
+
+def _roots(proof: CfProof) -> list[int]:
+    """The arena nodes a proof's lines name: each line's circuit and the
+    arguments of its schema or extension instance."""
+    roots = []
+    for node, just in proof.lines:
+        roots.append(node)
+        if just[0] in ("schema", "ext"):
+            roots.extend(just[2])
+    return roots
 
 
 # ---------------------------------------------------------------------------
@@ -620,7 +586,7 @@ def cf_prove_rfn_res(m: int, n: int, k: int, check: bool = True) -> CfProof:
     V = lay.vars_proof
     w = _Writer(CircuitBuilder(V + 2 * n * k + n))
     b = w.arena
-    prf, sat = _rfn_parts(b, m, n, k)
+    prf, sat, conj_parts = _rfn_parts(b, m, n, k)
     gamma = b.and_(prf, sat)
     g = _Gamma(w, gamma)
     ct = w.ct
@@ -630,27 +596,6 @@ def cf_prove_rfn_res(m: int, n: int, k: int, check: bool = True) -> CfProof:
     if ct.canon(g.j(b.const(0))) == ct.TRUE:
         bottom_line = w.taut(g.j(b.const(0)))
         return _export(w, g, prf, sat, bottom_line, m, n, k, check)
-
-    def litnode(lit: int) -> int:
-        node = b.var(abs(lit))
-        return node if lit > 0 else b.not_(node)
-
-    # Rebuild each constraint conjunct exactly as the shared circuit
-    # builder did (hash-consing makes the node ids coincide), recording the
-    # disjunct lists for clause bookkeeping.
-    conj_parts: dict[tuple, list[int]] = {}
-    for name, static, slot in _prf_clauses(lay):
-        if slot is None:
-            conj_parts[name] = [litnode(x) for x in static]
-        else:
-            jj, l, i, e = slot
-            cnode = b.var(V + code_pos(e, i, l, n, k) + 1)
-            conj_parts[name] = [
-                litnode(static[0]),
-                litnode(static[1]),
-                b.not_(cnode),
-                litnode(static[2]),
-            ]
 
     proj = _Projector(g)
 
@@ -985,38 +930,8 @@ def _transplant(
     """Recreate a proof's lines inside another arena, mapping each input
     variable through ``var_image`` (identity when omitted).  Only the nodes
     the lines actually reach are copied."""
-    needed: set[int] = set()
-    stack: list[int] = []
-    for node, just in proof.lines:
-        stack.append(node)
-        if just[0] in ("schema", "ext"):
-            stack.extend(just[2])
     nodes = proof.arena.nodes
-    while stack:
-        x = stack.pop()
-        if x in needed:
-            continue
-        needed.add(x)
-        gx = nodes[x]
-        if gx[0] not in ("var", "const"):
-            stack.extend(gx[1:])
-
-    remap: dict[int, int] = {}
-    for x in sorted(needed):
-        gx = nodes[x]
-        if gx[0] == "var":
-            remap[x] = arena.var(gx[1]) if var_image is None else var_image(gx[1])
-        elif gx[0] == "const":
-            remap[x] = arena.const(gx[1])
-        elif gx[0] == "not":
-            remap[x] = arena.not_(remap[gx[1]])
-        elif gx[0] == "and":
-            remap[x] = arena.and_(remap[gx[1]], remap[gx[2]])
-        elif gx[0] == "or":
-            remap[x] = arena.or_(remap[gx[1]], remap[gx[2]])
-        else:
-            remap[x] = arena.imp(remap[gx[1]], remap[gx[2]])
-
+    remap = arena.copy(nodes, cone(nodes, _roots(proof)), var_image)
     lines = []
     for node, just in proof.lines:
         if just[0] in ("schema", "ext"):

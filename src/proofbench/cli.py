@@ -26,7 +26,6 @@ import argparse
 import datetime
 import json
 import math
-import os
 import random
 import re
 import subprocess
@@ -60,20 +59,13 @@ from .encoder import (
     build_strongly_friendly,
     layout_map_text,
 )
-from .oracle import SearchBudget, dpll_refute, dpll_sat, min_refutation_length
+from .oracle import dpll_refute, dpll_sat, min_refutation_length
 from .proofgen import encode_witness, line_bound, refute_prf_nontaut
 from .resolution import check_refutation, parse_proof
 
 
 class UsageError(Exception):
     """Bad arguments or unusable input files (exit code 2)."""
-
-
-def _search_budget() -> SearchBudget:
-    raw = os.environ.get("PROOFBENCH_MAX_SECONDS")
-    if raw is None:
-        return SearchBudget()
-    return SearchBudget(max_seconds=float(raw))
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +389,7 @@ def _classify(f: Cnf, solver: str | None) -> tuple:
             return ("sat", ans[1], "external, model verified")
         if ans[0] == "unsat-advisory":
             note = "external solver claimed unsat; re-derived internally"
-    res = dpll_sat(f, budget=_search_budget())
+    res = dpll_sat(f)
     if res[0] == "sat":
         return ("sat", res[1], note)
     return ("unsat", note)
@@ -465,7 +457,7 @@ def _am_task(task: tuple) -> dict:
             direction_ok=rep.ok and rep.lines <= q_bound,
         )
     else:
-        proof = dpll_refute(f, budget=_search_budget())
+        proof = dpll_refute(f)
         rec["lines"] = len(proof.lines)
         if len(proof.lines) > m:
             rec["direction_ok"] = None  # premise (a <= m-line refutation) fails
@@ -481,10 +473,10 @@ def _trend_task(task: tuple) -> dict:
     art = build_prf(1, f.n, f.k, encode_cnf(f, strict=False))
     rho = art.formula
     rec: dict = {"n": f.n, "vars": rho.n, "clauses": len(rho.clauses)}
-    upper = dpll_refute(rho, budget=_search_budget())
+    upper = dpll_refute(rho)
     rec["dpll_upper"] = len(upper.lines)
     rec["dpll_valid"] = check_refutation(rho, upper, mode="strict").ok
-    res = min_refutation_length(rho, max_lines, budget=_search_budget())
+    res = min_refutation_length(rho, max_lines)
     rec["search"] = res[0]
     if res[0] == "found":
         rec["value"] = res[1]

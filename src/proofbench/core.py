@@ -19,7 +19,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +286,21 @@ def eval_circuit(c: Circuit, a: Sequence[int]) -> bool:
     return vals[-1]
 
 
+def cone(nodes: Sequence[Gate], roots: Iterable[int]) -> list[int]:
+    """The ids reachable from ``roots`` through gate inputs, ascending."""
+    seen: set[int] = set()
+    stack = list(roots)
+    while stack:
+        x = stack.pop()
+        if x in seen:
+            continue
+        seen.add(x)
+        g = nodes[x]
+        if g[0] not in ("var", "const"):
+            stack.extend(g[1:])
+    return sorted(seen)
+
+
 class CircuitBuilder:
     """Hash-consing builder; identical gates share one node.
 
@@ -360,42 +375,36 @@ class CircuitBuilder:
     def cnf_circuit(self, f: Cnf) -> int:
         return self.and_many([self.clause_circuit(cl) for cl in f.clauses])
 
+    def copy(
+        self, nodes: Sequence[Gate], order: Iterable[int], var_of: Callable[[int], int] | None = None
+    ) -> dict[int, int]:
+        """Hash-cons ``nodes[x]`` into this builder for each ``x`` of
+        ``order``, which must list children before parents; returns the map
+        from old id to new id.  Input gates go through ``var_of`` when given."""
+        new: dict[int, int] = {}
+        for x in order:
+            g = nodes[x]
+            if g[0] == "var":
+                new[x] = self.var(g[1]) if var_of is None else var_of(g[1])
+            elif g[0] == "const":
+                new[x] = self.const(g[1])
+            elif g[0] == "not":
+                new[x] = self._add(("not", new[g[1]]))
+            else:
+                new[x] = self._add((g[0], new[g[1]], new[g[2]]))
+        return new
+
     def import_circuit(self, c: Circuit) -> int:
         """Copy a finished circuit into this builder, returning its root."""
         if c.n_vars > self.n_vars:
             raise ValueError("imported circuit has more inputs than builder")
-        ids = []
-        for g in c.gates:
-            if g[0] in ("var", "const"):
-                ids.append(self._add(g))
-            elif g[0] == "not":
-                ids.append(self.not_(ids[g[1]]))
-            else:
-                ids.append(self._add((g[0], ids[g[1]], ids[g[2]])))
-        return ids[-1]
+        return self.copy(c.gates, range(len(c.gates)))[c.output]
 
     def build(self, root: int) -> Circuit:
         """Trim to the cone of ``root`` and renumber topologically."""
-        reach: set[int] = set()
-        stack = [root]
-        while stack:
-            g = stack.pop()
-            if g in reach:
-                continue
-            reach.add(g)
-            stack.extend(n for n in self.nodes[g][1:] if self.nodes[g][0] not in ("var", "const"))
-        order = sorted(reach)
-        newid = {old: i for i, old in enumerate(order)}
-        gates = []
-        for old in order:
-            node = self.nodes[old]
-            if node[0] in ("var", "const"):
-                gates.append(node)
-            elif node[0] == "not":
-                gates.append(("not", newid[node[1]]))
-            else:
-                gates.append((node[0], newid[node[1]], newid[node[2]]))
-        return Circuit(self.n_vars, tuple(gates))
+        b = CircuitBuilder(self.n_vars)
+        b.copy(self.nodes, cone(self.nodes, [root]))
+        return Circuit(self.n_vars, tuple(b.nodes))
 
 
 def cnf_to_circuit(f: Cnf) -> Circuit:
@@ -476,19 +485,18 @@ def emit_gates(c: Circuit) -> str:
     highest input is never mentioned by a gate.
     """
     lines = [f"inputs {c.n_vars}"]
-    for idx, g in enumerate(c.gates):
-        kind = g[0]
-        if kind == "var":
-            rhs = f"var {g[1]}"
-        elif kind == "const":
-            rhs = f"const {g[1]}"
-        elif kind == "not":
-            rhs = f"not g{g[1]}"
-        else:
-            rhs = f"{kind} g{g[1]} g{g[2]}"
-        lines.append(f"g{idx} := {rhs}")
+    lines += [f"g{idx} := {gate_text(g)}" for idx, g in enumerate(c.gates)]
     lines.append(f"out g{c.output}")
     return "\n".join(lines) + "\n"
+
+
+def gate_text(g: Gate) -> str:
+    """One gate's right-hand side: ``var 3``, ``const 1``, ``and g4 g7``."""
+    if g[0] in ("var", "const"):
+        return f"{g[0]} {g[1]}"
+    if g[0] == "not":
+        return f"not g{g[1]}"
+    return f"{g[0]} g{g[1]} g{g[2]}"
 
 
 def _gate_ref(tok: str, upto: int, lineno: int) -> int:
@@ -553,13 +561,5 @@ def parse_gates(text: str) -> Circuit:
     if out != len(gates) - 1:
         # Renumber so the output is last, matching canonical emission.
         b = CircuitBuilder(n_vars)
-        ids = []
-        for g in gates:
-            if g[0] in ("var", "const"):
-                ids.append(b._add(g))
-            elif g[0] == "not":
-                ids.append(b.not_(ids[g[1]]))
-            else:
-                ids.append(b._add((g[0], ids[g[1]], ids[g[2]])))
-        return b.build(ids[out])
+        return b.build(b.copy(gates, range(len(gates)))[out])
     return Circuit(n_vars, tuple(gates))

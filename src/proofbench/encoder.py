@@ -339,24 +339,26 @@ def _prf_circuit(
     lay: PrfLayout,
     x_of: Callable[[int], int],
     code_of: Callable[[int, int, int], int],
-) -> int:
-    """The prf constraints as one conjunction; code bits come from
-    ``code_of`` so instantiated, shared-input, and template-wired variants
-    all share this shape."""
+) -> tuple[int, dict[tuple, list[int]]]:
+    """The prf constraints as one conjunction, and each constraint's
+    disjunct nodes by name; code bits come from ``code_of`` so instantiated,
+    shared-input, and template-wired variants all share this shape."""
 
     def litnode(lit: int) -> int:
         node = x_of(abs(lit))
         return node if lit > 0 else b.not_(node)
 
     conj = []
-    for _name, static, slot in _prf_clauses(lay):
+    parts: dict[tuple, list[int]] = {}
+    for name, static, slot in _prf_clauses(lay):
         if slot is None:
-            conj.append(b.or_many([litnode(l) for l in static]))
+            parts[name] = [litnode(l) for l in static]
         else:
             j, l, i, e = slot
-            parts = [litnode(static[0]), litnode(static[1]), b.not_(code_of(e, i, l)), litnode(static[2])]
-            conj.append(b.or_many(parts))
-    return b.and_many(conj)
+            # this creation order fixes the node ids of every prf-based circuit
+            parts[name] = [litnode(static[0]), litnode(static[1]), b.not_(code_of(e, i, l)), litnode(static[2])]
+        conj.append(b.or_many(parts[name]))
+    return b.and_many(conj), parts
 
 
 def _sat_circuit(
@@ -398,19 +400,20 @@ def build_rfn(m: int, n: int, k: int) -> Circuit:
     the candidate assignment z (``n``).
     """
     b = CircuitBuilder(PrfLayout(m, n, k).vars_proof + 2 * n * k + n)
-    prf, sat = _rfn_parts(b, m, n, k)
+    prf, sat, _ = _rfn_parts(b, m, n, k)
     return b.build(b.imp(prf, b.not_(sat)))
 
 
-def _rfn_parts(b: CircuitBuilder, m: int, n: int, k: int) -> tuple[int, int]:
-    """The two sides of rfn inside a caller-owned builder (the Frege-proof
-    generator rebuilds them to state its final theorem)."""
+def _rfn_parts(b: CircuitBuilder, m: int, n: int, k: int) -> tuple[int, int, dict[tuple, list[int]]]:
+    """The two sides of rfn inside a caller-owned builder, and prf's
+    constraint disjuncts by name (the Frege-proof generator rebuilds the
+    sides to state its final theorem and reasons over the disjuncts)."""
     lay = PrfLayout(m, n, k)
     V = lay.vars_proof
     code_of = lambda e, i, l: b.var(V + code_pos(e, i, l, n, k) + 1)
-    prf = _prf_circuit(b, lay, lambda v: b.var(v), code_of)
+    prf, parts = _prf_circuit(b, lay, lambda v: b.var(v), code_of)
     sat = _sat_circuit(b, n, k, code_of, lambda i: b.var(V + 2 * n * k + i))
-    return prf, sat
+    return prf, sat, parts
 
 
 def build_lrfn(f: Cnf, m: int) -> Circuit:
@@ -425,7 +428,7 @@ def build_lrfn(f: Cnf, m: int) -> Circuit:
     lay = PrfLayout(m, f.n, f.k)
     V = lay.vars_proof
     b = CircuitBuilder(V + f.n)
-    prf = _prf_circuit(
+    prf, _ = _prf_circuit(
         b, lay, lambda v: b.var(v), lambda e, i, l: b.const(code.get(e, i, l))
     )
     inlined = b.cnf_circuit(shift_cnf(f, V, V + f.n))
@@ -438,7 +441,7 @@ def build_con(m: int, n: int) -> Circuit:
     assignment fails the download constraints, so this is a tautology."""
     lay = PrfLayout(m, n, 0)
     b = CircuitBuilder(lay.vars_proof)
-    prf = _prf_circuit(b, lay, lambda v: b.var(v), lambda e, i, l: b.const(0))
+    prf, _ = _prf_circuit(b, lay, lambda v: b.var(v), lambda e, i, l: b.const(0))
     return b.build(b.not_(prf))
 
 
@@ -594,7 +597,7 @@ def build_strongly_friendly(
         ref = b.var(V_out + v + 1)
         return ref if kind == "ref" else b.not_(ref)
 
-    prf_outer = _prf_circuit(b, lay_out, lambda v: b.var(v), wired)
+    prf_outer, _ = _prf_circuit(b, lay_out, lambda v: b.var(v), wired)
     sat_outer = _sat_circuit(b, n_in, k_in, wired, lambda i: b.var(V_out + params + i))
     return b.build(b.or_(b.not_(prf_outer), sat_outer))
 

@@ -44,7 +44,8 @@ class CheckReport:
 
     ``step`` and ``reason`` locate the first failure; ``lines`` and
     ``bit_size`` describe the proof itself so callers can log sizes without
-    re-serializing.
+    re-serializing.  A failing report has ``bit_size`` 0: a proof that does
+    not check may have no text form at all.
     """
 
     ok: bool
@@ -65,12 +66,14 @@ def check_refutation(f: Cnf, proof: ResolutionProof, mode: str = "strict") -> Ch
         raise ValueError("proof target does not match the formula being checked")
 
     def fail(step: int, reason: str) -> CheckReport:
-        return CheckReport(False, step, reason, len(proof.lines), proof.bit_size())
+        return CheckReport(False, step, reason, len(proof.lines), 0)
 
     if not proof.lines:
         return fail(0, "empty proof")
 
     for t, (clause, just) in enumerate(proof.lines):
+        if not just:
+            return fail(t, "empty justification")
         if just[0] == "A":
             if len(just) != 2:
                 return fail(t, "malformed axiom justification")

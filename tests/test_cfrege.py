@@ -116,6 +116,17 @@ def test_premise_index_range_checked():
     assert not report.ok and "out of range" in report.reason
 
 
+@pytest.mark.parametrize("just", [("mp",), ("canon",), ("schema", 0)])
+def test_malformed_justification_is_a_failing_report(just):
+    proof = cf_prove_rfn_res(1, 1, 1, check=False)
+    lines = list(proof.lines)
+    lines[2] = (lines[2][0], just)
+    bad = CfProof(proof.arena, tuple(lines))
+    for measure_bits in (False, True):
+        report = cf_check(bad, measure_bits=measure_bits)
+        assert not report.ok and report.step == 2 and report.bit_size == 0
+
+
 # ---------------------------------------------------------------------------
 # canonical forms
 

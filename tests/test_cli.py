@@ -13,7 +13,6 @@ import pytest
 from proofbench.cli import (
     UsageError,
     _classify,
-    _search_budget,
     fit_degree,
     main,
     parse_poly,
@@ -47,13 +46,6 @@ def test_fit_degree_recovers_exponents():
     assert math.isclose(fit_degree(xs, [x**2 for x in xs]), 2.0)
     assert math.isclose(fit_degree(xs, [5 * x for x in xs]), 1.0)
     assert fit_degree(xs, [0, 0, 0, 0]) == 0.0  # zero-safe
-
-
-def test_search_budget_reads_environment(monkeypatch):
-    monkeypatch.setenv("PROOFBENCH_MAX_SECONDS", "0.25")
-    assert _search_budget().max_seconds == 0.25
-    monkeypatch.delenv("PROOFBENCH_MAX_SECONDS")
-    assert _search_budget().max_seconds is None
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,10 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from proofbench.cfrege import instantiate_extension
 from proofbench.core import (
+    GATE_KINDS,
+    Circuit,
     CircuitBuilder,
     Cnf,
     CnfCode,
@@ -244,6 +247,50 @@ def test_gate_list_round_trip():
     again = parse_gates(emit_gates(c))
     assert again == c
     assert emit_gates(again) == emit_gates(c)
+
+
+def test_gate_list_output_not_last_is_renumbered():
+    text = (
+        "inputs 2\n"
+        "g0 := var 1\n"
+        "g1 := var 2\n"
+        "g2 := and g0 g1\n"
+        "g3 := var 1\n"  # a duplicate of g0
+        "g4 := or g3 g1\n"
+        "g5 := not g4\n"
+        "out g4\n"
+    )
+    assert parse_gates(text) == Circuit(2, (("var", 1), ("var", 2), ("or", 0, 1)))
+
+
+@st.composite
+def builder_dags(draw, n_vars=3):
+    """A builder holding random gates over ``n_vars`` inputs, and one of its nodes."""
+    b = CircuitBuilder(n_vars)
+    ids = [b.var(draw(st.integers(1, n_vars)))]
+    binary = {"and": b.and_, "or": b.or_, "imp": b.imp}
+    for kind in draw(st.lists(st.sampled_from(GATE_KINDS), max_size=14)):
+        if kind == "var":
+            ids.append(b.var(draw(st.integers(1, n_vars))))
+        elif kind == "const":
+            ids.append(b.const(draw(st.integers(0, 1))))
+        elif kind == "not":
+            ids.append(b.not_(draw(st.sampled_from(ids))))
+        else:
+            ids.append(binary[kind](draw(st.sampled_from(ids)), draw(st.sampled_from(ids))))
+    return b, draw(st.sampled_from(ids))
+
+
+@given(builder_dags())
+def test_gate_walk_reproduces_the_cone(dag):
+    b, root = dag
+    c = b.build(root)
+    assert parse_gates(emit_gates(c)) == c
+    arena = CircuitBuilder(c.n_vars)
+    top = arena.import_circuit(c)
+    assert arena.build(top) == c
+    sigma = [arena.var(i) for i in range(1, c.n_vars + 1)]
+    assert instantiate_extension(arena, c, sigma) == top
 
 
 def test_gate_list_rejects_forward_reference():

@@ -4,6 +4,7 @@ extraction, and minimal-length search.
 """
 
 import random
+import time
 
 import pytest
 
@@ -41,6 +42,15 @@ def test_bare_variable_is_not():
 
 def test_rfn_2_1_1_is_tautology():
     assert is_tautology(build_rfn(2, 1, 1)) == ("yes",)
+
+
+def test_search_budget_reads_environment(monkeypatch):
+    monkeypatch.setenv("PROOFBENCH_MAX_SECONDS", "0.25")
+    before = time.monotonic()
+    assert before + 0.25 <= SearchBudget().deadline() <= time.monotonic() + 0.25
+    monkeypatch.delenv("PROOFBENCH_MAX_SECONDS")
+    before = time.monotonic()
+    assert before + 60 <= SearchBudget().deadline() <= time.monotonic() + 60
 
 
 def test_tautology_budget_exhaustion():

@@ -89,6 +89,13 @@ def test_non_empty_final_clause_rejected():
     assert not rep.ok and "empty" in rep.reason
 
 
+@pytest.mark.parametrize("just", [("A", 99), (), ("R", 0, 1)])
+def test_malformed_justification_is_a_failing_report(just):
+    f = cnf(2, [[1], [2], [-1, -2]])
+    rep = check_refutation(f, ResolutionProof(f, ((frozenset([1]), just),)))
+    assert not rep.ok and rep.step == 0 and rep.bit_size == 0
+
+
 # ---------------------------------------------------------------------------
 # restriction
 
