@@ -139,10 +139,6 @@ class CanonTable:
             stack.pop()
         return memo[node]
 
-    def or_children(self, cid: int) -> tuple[int, ...]:
-        form = self._forms[cid]
-        return form[1] if form[0] == "or" else (cid,)
-
 
 # ---------------------------------------------------------------------------
 # Schemas
@@ -207,51 +203,69 @@ class CfProof:
 
 
 def cf_check(
-    proof: CfProof,
-    extensions: Sequence[Circuit] = (),
-    measure_bits: bool = False,
-    table: CanonTable | None = None,
+    proof: CfProof, extensions: Sequence[Circuit] = (), measure_bits: bool = False
 ) -> CheckReport:
-    """Check every line; ``bit_size`` is 0 unless ``measure_bits`` and the
+    """Check every line on a fresh canonical-form table, so the verdict
+    rests on the proof alone.  A malformed line gets a failing report,
+    never an exception.  ``bit_size`` is 0 unless ``measure_bits`` and the
     proof checks."""
-    ct = table if table is not None else CanonTable(proof.arena)
     arena = proof.arena
+    nodes = arena.nodes
+    ct = CanonTable(arena)
 
     def fail(step: int, reason: str) -> CheckReport:
         return CheckReport(False, step, reason, len(proof.lines), 0)
 
     for t, (node, just) in enumerate(proof.lines):
-        rule = just[0] if just else None
-        if rule not in _ARITY:
+        rule = just[0] if type(just) is tuple and just else None
+        if type(rule) is not str or rule not in _ARITY:
             return fail(t, f"unknown rule {rule!r}")
         if len(just) != _ARITY[rule]:
             return fail(t, f"malformed {rule} justification")
+        if type(node) is not int or not 0 <= node < len(nodes):
+            return fail(t, f"line circuit {node!r} is not an arena node")
         if rule in ("schema", "ext"):
             idx, sigma = just[1], just[2]
+            count = len(SCHEMAS if rule == "schema" else extensions)
+            if type(idx) is not int or not 0 <= idx < count:
+                return fail(t, f"{rule} index {idx!r} out of range")
+            if not isinstance(sigma, (tuple, list)) or not all(
+                type(s) is int and 0 <= s < len(nodes) for s in sigma
+            ):
+                return fail(t, f"{rule} arguments are not arena nodes")
             try:
                 if rule == "schema":
                     inst = instantiate_schema(arena, idx, sigma)
                 else:
                     inst = instantiate_extension(arena, extensions[idx], sigma)
-            except (IndexError, ValueError) as e:
+            except ValueError as e:
                 return fail(t, f"bad instantiation: {e}")
             if ct.canon(node) != ct.canon(inst):
                 return fail(t, f"line does not match its {rule} instance")
         elif rule == "mp":
             j1, j2 = just[1], just[2]
-            if not (0 <= j1 < t and 0 <= j2 < t):
+            if not (type(j1) is type(j2) is int and 0 <= j1 < t and 0 <= j2 < t):
                 return fail(t, "premise index out of range")
             want = ct.mk_imp(ct.canon(proof.lines[j2][0]), ct.canon(node))
             if ct.canon(proof.lines[j1][0]) != want:
                 return fail(t, "major premise does not imply this line")
         else:
             j = just[1]
-            if not 0 <= j < t:
+            if type(j) is not int or not 0 <= j < t:
                 return fail(t, "premise index out of range")
             if ct.canon(proof.lines[j][0]) != ct.canon(node):
                 return fail(t, "line is not a canonization of its premise")
     size = len(cf_serialize(proof).encode()) if measure_bits else 0
     return CheckReport(True, None, None, len(proof.lines), size)
+
+
+def _checked(proof: CfProof, what: str, extensions: Sequence[Circuit] = ()) -> CfProof:
+    """``proof`` itself once :func:`cf_check` accepts it; a rejection is an
+    internal error of the code that built it."""
+    report = cf_check(proof, extensions=extensions)
+    if not report.ok:
+        raise RuntimeError(f"{what} proof invalid at line {report.step}: {report.reason}")
+    return proof
 
 
 def cf_serialize(proof: CfProof) -> str:
@@ -292,7 +306,8 @@ def _roots(proof: CfProof) -> list[int]:
 
 
 class _Writer:
-    """Emits checked lines into an arena, deduplicating by canonical form.
+    """Emits lines into an arena, deduplicating by canonical form.  It
+    checks nothing: :func:`cf_check` certifies the finished proof.
 
     Deduplication is sound because the checker compares lines only up to
     canonization, so any line can stand in for any other with the same
@@ -308,24 +323,12 @@ class _Writer:
         self._by_canon: dict[int, int] = {}
         self.true_line = self.schema(9)
 
-    def _verify(self, node: int, just: tuple) -> None:
-        ct = self.ct
-        if just[0] == "schema":
-            inst = instantiate_schema(self.arena, just[1], just[2])
-            assert ct.canon(node) == ct.canon(inst), "schema instance mismatch"
-        elif just[0] == "mp":
-            want = ct.mk_imp(ct.canon(self.lines[just[2]][0]), ct.canon(node))
-            assert ct.canon(self.lines[just[1]][0]) == want, "modus ponens mismatch"
-        else:
-            assert ct.canon(self.lines[just[1]][0]) == ct.canon(node), "canonization mismatch"
-
     def emit(self, node: int, just: tuple, dedup: bool = True) -> int:
         c = self.ct.canon(node)
         if dedup:
             got = self._by_canon.get(c)
             if got is not None:
                 return got
-        self._verify(node, just)
         self.lines.append((node, just))
         idx = len(self.lines) - 1
         self._by_canon.setdefault(c, idx)
@@ -477,17 +480,7 @@ class _Gamma:
         # form, whatever shape p has.
         em_node = self.b.or_(pivot, npivot)
         em = self.lift(self.w.emit(em_node, ("schema", 6, (pivot, npivot))))
-        s9 = self.w.schema(8, pivot, npivot, c)
-        step = self.mp_ctx(
-            self.lift(s9),
-            w2,
-            self.b.imp(pivot, c),
-            self.b.imp(self.b.imp(npivot, c), self.b.imp(self.b.or_(pivot, npivot), c)),
-        )
-        step = self.mp_ctx(
-            step, w1, self.b.imp(npivot, c), self.b.imp(self.b.or_(pivot, npivot), c)
-        )
-        out = self.mp_ctx(step, em, self.b.or_(pivot, npivot), c)
+        out = self.mp_ctx(self.or_imp(w2, w1, pivot, npivot, c), em, em_node, c)
         return self.clause(out, list(a_parts) + list(b_parts))
 
     def weaken(self, g: GClause, extra: Sequence[int]) -> GClause:
@@ -581,6 +574,10 @@ def cf_prove_rfn_res(m: int, n: int, k: int, check: bool = True) -> CfProof:
     grid the ratio to that bound peaks at 352 and the log-log tail slopes
     are 1.51 in m, 1.13 in n, and 0.38 in k, all inside the documented
     degrees (2, 2, 1).
+
+    With ``check`` the finished proof passes :func:`cf_check` before it is
+    returned (a rejection raises ``RuntimeError``); ``check=False`` returns
+    it unchecked, for the caller to check.
     """
     lay = PrfLayout(m, n, k)
     V = lay.vars_proof
@@ -832,10 +829,7 @@ def _export(
     proof = CfProof(w.arena, tuple(w.lines))
     assert proof.last_node == final_node
     assert proof.last_circuit() == build_rfn(m, n, k), "final circuit is not the reflection target"
-    if check:
-        report = cf_check(proof, table=w.ct)
-        assert report.ok, f"reflection proof invalid at line {report.step}: {report.reason}"
-    return proof
+    return _checked(proof, "reflection") if check else proof
 
 
 # ---------------------------------------------------------------------------
@@ -874,9 +868,7 @@ def cf_prove_sat_equiv(f: Cnf | Circuit) -> CfProof:
     w.emit(b.and_(fwd, bwd), ("mp", step, l_bwd), dedup=False)
     proof = CfProof(w.arena, tuple(w.lines))
     assert len(proof) == 6
-    report = cf_check(proof, table=w.ct)
-    assert report.ok, report.reason
-    return proof
+    return _checked(proof, "satisfaction-equivalence")
 
 
 def cnf_from_circuit(c: Circuit) -> Cnf:
@@ -963,10 +955,17 @@ def cf_substitute(
 
     The line count is unchanged and validity is preserved: canonical
     equality is a congruence for substitution.  Variables missing from
-    ``gamma`` map to themselves.
+    ``gamma`` map to themselves.  The result is checked before it is
+    returned.
     """
     if n_vars is None:
         n_vars = max([proof.arena.n_vars] + [c.n_vars for c in gamma.values()])
+    return _checked(_substitute(proof, gamma, n_vars), "substituted", extensions)
+
+
+def _substitute(proof: CfProof, gamma: Mapping[int, Circuit], n_vars: int) -> CfProof:
+    """:func:`cf_substitute` without the check, for callers that check
+    the proof they build from it."""
     arena = CircuitBuilder(n_vars)
     roots: dict[int, int] = {}
     for v, c in gamma.items():
@@ -978,10 +977,7 @@ def cf_substitute(
         got = roots.get(v)
         return arena.var(v) if got is None else got
 
-    out = CfProof(arena, _transplant(proof, arena, image))
-    report = cf_check(out, extensions=extensions)
-    assert report.ok, f"substituted proof invalid at line {report.step}: {report.reason}"
-    return out
+    return CfProof(arena, _transplant(proof, arena, image))
 
 
 def cf_explode(
@@ -1004,19 +1000,15 @@ def cf_explode(
         raise ValueError("assignment does not falsify the proved circuit")
     cb = CircuitBuilder(0)
     consts = {v: cb.build(cb.const(a[v - 1])) for v in range(1, proof.arena.n_vars + 1)}
-    sub = cf_substitute(proof, consts, n_vars=beta.n_vars, extensions=extensions)
-    sub, bnode = _rehouse(sub, beta)
+    sub, bnode = _rehouse(_substitute(proof, consts, beta.n_vars), beta)
     arena = sub.arena
-    assert CanonTable(arena).canon(sub.last_node) == CanonTable(arena).FALSE
     lines = list(sub.lines)
     lines.append((arena.const(1), ("schema", 9, ())))
     lines.append((arena.imp(sub.last_node, bnode), ("canon", len(lines) - 1)))
     lines.append((bnode, ("mp", len(lines) - 1, len(sub.lines) - 1)))
     out = CfProof(arena, tuple(lines))
     assert out.last_circuit() == beta
-    report = cf_check(out, extensions=extensions)
-    assert report.ok, f"exploded proof invalid at line {report.step}: {report.reason}"
-    return out
+    return _checked(out, "exploded", extensions)
 
 
 def lrfn_from_rfn(proof: CfProof, f: Cnf) -> CfProof:
@@ -1042,16 +1034,13 @@ def lrfn_from_rfn(proof: CfProof, f: Cnf) -> CfProof:
         gamma[V + q + 1] = cb.build(cb.const(code.bits[q]))
     for i in range(1, n + 1):
         gamma[V + 2 * n * k + i] = cb.build(cb.var(V + i))
-    sub = cf_substitute(proof, gamma, n_vars=V + n)
     target = build_lrfn(f, m)
-    sub, tnode = _rehouse(sub, target)
+    sub, tnode = _rehouse(_substitute(proof, gamma, V + n), target)
     lines = list(sub.lines)
     lines.append((tnode, ("canon", len(lines) - 1)))
     out = CfProof(sub.arena, tuple(lines))
     assert out.last_circuit() == target
-    report = cf_check(out)
-    assert report.ok, f"localized proof invalid at line {report.step}: {report.reason}"
-    return out
+    return _checked(out, "localized")
 
 
 def _solve_m(total: int, n: int, k: int) -> int | None:

@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .core import Cnf, encode_cnf
-from .encoder import EncodingArtifact, PolyBudget, build_prf
+from .encoder import EncodingArtifact, build_prf
 from .resolution import ProofLine, ResolutionProof, check_refutation
 
 
@@ -37,8 +37,10 @@ def refute_prf_nontaut(f: Cnf, a: Sequence[int], m: int) -> ResolutionProof:
     """Refute ``build_prf(m, f.n, f.k, code(f))`` given ``a`` satisfying ``f``.
 
     Requires ``f.n <= 3 * m`` (the documented bound domain; every use in
-    this package has n far below m).  The result checks in weakening mode
-    and has at most ``line_bound(m, f.n, f.k)`` lines.
+    this package has n far below m).  The result has at most
+    ``line_bound(m, f.n, f.k)`` lines and has passed ``check_refutation`` in
+    weakening mode (a rejection raises ``RuntimeError``), so callers need
+    not check it again.
     """
     n, k = f.n, f.k
     if len(a) != n or any(b not in (0, 1) for b in a):
@@ -51,6 +53,13 @@ def refute_prf_nontaut(f: Cnf, a: Sequence[int], m: int) -> ResolutionProof:
     cidx = art.clause_index
 
     lines: list[ProofLine] = []
+
+    def checked() -> ResolutionProof:
+        proof = ResolutionProof(g, tuple(lines))
+        report = check_refutation(g, proof, mode="weakening")
+        if not report.ok:
+            raise RuntimeError(f"generated refutation invalid at {report.step}: {report.reason}")
+        return proof
 
     def emit(clause: frozenset[int], just: tuple) -> int:
         lines.append((clause, just))
@@ -79,10 +88,7 @@ def refute_prf_nontaut(f: Cnf, a: Sequence[int], m: int) -> ResolutionProof:
         c1 = download(("alo_s", 1))
         c2 = download(("ax_first",))
         resolve(c2, c1, lay.ax(1))
-        proof = ResolutionProof(g, tuple(lines))
-        report = check_refutation(g, proof, mode="weakening")
-        assert report.ok, report.reason
-        return proof
+        return checked()
 
     def true_literal(l: int) -> tuple[int, int]:
         """(e, i) of the first literal of input clause ``l`` true under a."""
@@ -180,11 +186,8 @@ def refute_prf_nontaut(f: Cnf, a: Sequence[int], m: int) -> ResolutionProof:
         acc = resolve(acc, c5, lay.y(e, i, m))
     assert lines[acc][0] == frozenset()
 
-    proof = ResolutionProof(g, tuple(lines))
-    assert len(proof) <= line_bound(m, n, k), (len(proof), line_bound(m, n, k))
-    report = check_refutation(g, proof, mode="weakening")
-    assert report.ok, f"generated refutation invalid at {report.step}: {report.reason}"
-    return proof
+    assert len(lines) <= line_bound(m, n, k), (len(lines), line_bound(m, n, k))
+    return checked()
 
 
 # ---------------------------------------------------------------------------
@@ -241,37 +244,3 @@ def encode_witness(
             set_(lay.R(j2 + 1, j))
     return tuple(bits)
 
-
-# ---------------------------------------------------------------------------
-# Experiment driver
-
-
-def lrfn_nontaut_record(
-    f: Cnf, budget: PolyBudget = PolyBudget(), m: int | None = None
-) -> dict:
-    """Certify the proof-side disjunct of local reflection at ``f``.
-
-    For satisfiable ``f`` the inlined-formula disjunct has a falsifying
-    assignment, so the tautology rests on the refutation-existence CNF
-    being unsatisfiable; this generates and checks its refutation and
-    reports the size against the documented bound.
-    """
-    from .core import emit_dimacs
-    from .oracle import dpll_sat
-
-    res = dpll_sat(f)
-    if res[0] != "sat":
-        raise ValueError("formula must be satisfiable")
-    if m is None:
-        m = budget.eval_p(len(emit_dimacs(f).encode()))
-    proof = refute_prf_nontaut(f, res[1], m)
-    bound = line_bound(m, f.n, f.k)
-    return {
-        "n": f.n,
-        "k": f.k,
-        "m": m,
-        "lines": len(proof),
-        "bound": bound,
-        "valid": True,  # generation self-checks; kept for report readers
-        "margin": round(bound / len(proof), 3),
-    }

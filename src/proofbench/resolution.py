@@ -72,14 +72,14 @@ def check_refutation(f: Cnf, proof: ResolutionProof, mode: str = "strict") -> Ch
         return fail(0, "empty proof")
 
     for t, (clause, just) in enumerate(proof.lines):
-        if not just:
-            return fail(t, "empty justification")
+        if type(just) is not tuple or not just:
+            return fail(t, "missing or malformed justification")
         if just[0] == "A":
             if len(just) != 2:
                 return fail(t, "malformed axiom justification")
             l = just[1]
-            if not 0 <= l < f.k:
-                return fail(t, f"axiom index {l} out of range")
+            if type(l) is not int or not 0 <= l < f.k:
+                return fail(t, f"axiom index {l!r} out of range")
             expected = f.clauses[l]
             if mode == "strict":
                 if clause != expected:
@@ -91,10 +91,10 @@ def check_refutation(f: Cnf, proof: ResolutionProof, mode: str = "strict") -> Ch
             if len(just) != 4:
                 return fail(t, "malformed resolution justification")
             j1, j2, i = just[1], just[2], just[3]
-            if not (0 <= j1 < t and 0 <= j2 < t):
+            if not (type(j1) is type(j2) is int and 0 <= j1 < t and 0 <= j2 < t):
                 return fail(t, "premise index out of range")
-            if not 1 <= i <= f.n:
-                return fail(t, f"pivot variable {i} out of range")
+            if type(i) is not int or not 1 <= i <= f.n:
+                return fail(t, f"pivot variable {i!r} out of range")
             c1, c2 = proof.lines[j1][0], proof.lines[j2][0]
             if i not in c1:
                 return fail(t, "pivot missing from first premise")
@@ -287,6 +287,12 @@ def emit_proof(proof: ResolutionProof) -> str:
 
 
 def parse_proof(text: str, target: Cnf) -> ResolutionProof:
+    def read_ints(toks: list[str], lineno: int) -> list[int]:
+        try:
+            return [int(tok) for tok in toks]
+        except ValueError:
+            raise ValueError(f"line {lineno}: bad number in {' '.join(toks)!r}") from None
+
     def read_clause(tail: str, lineno: int) -> frozenset[int]:
         lits = []
         for tok in tail.split():
@@ -311,7 +317,7 @@ def parse_proof(text: str, target: Cnf) -> ResolutionProof:
         if parts[0] == "A":
             if len(parts) != 2:
                 raise ValueError(f"line {lineno}: malformed axiom line")
-            l = int(parts[1])
+            (l,) = read_ints(parts[1:], lineno)
             if not 0 <= l < target.k:
                 raise ValueError(f"line {lineno}: axiom index {l} out of range")
             clause = read_clause(tail, lineno) if ":" in line else target.clauses[l]
@@ -319,7 +325,7 @@ def parse_proof(text: str, target: Cnf) -> ResolutionProof:
         elif parts[0] == "R":
             if len(parts) != 4 or ":" not in line:
                 raise ValueError(f"line {lineno}: malformed resolution line")
-            j1, j2, piv = int(parts[1]), int(parts[2]), int(parts[3])
+            j1, j2, piv = read_ints(parts[1:], lineno)
             if j1 >= len(lines) or j2 >= len(lines) or j1 < 0 or j2 < 0:
                 raise ValueError(f"line {lineno}: forward or dangling premise reference")
             lines.append((read_clause(tail, lineno), ("R", j1, j2, piv)))

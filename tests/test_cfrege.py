@@ -8,7 +8,9 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import proofbench.cfrege as cfrege
 from proofbench.cfrege import (
     CanonTable,
     CfProof,
@@ -116,15 +118,76 @@ def test_premise_index_range_checked():
     assert not report.ok and "out of range" in report.reason
 
 
-@pytest.mark.parametrize("just", [("mp",), ("canon",), ("schema", 0)])
+@pytest.mark.parametrize(
+    "just",
+    [
+        ("mp",),
+        ("canon",),
+        ("schema", 0),
+        ("schema", 0, (99999, 99998)),
+        ("schema", 0, ("a", 0)),
+        ("schema", 0, (-5, 0)),
+        ("schema", -1, ()),
+        ("schema", "a", ()),
+        ("ext", 0, ()),
+        ("mp", "a", 0),
+        ("canon", None),
+        ("canon", 0.0),
+    ],
+)
 def test_malformed_justification_is_a_failing_report(just):
     proof = cf_prove_rfn_res(1, 1, 1, check=False)
     lines = list(proof.lines)
     lines[2] = (lines[2][0], just)
     bad = CfProof(proof.arena, tuple(lines))
+    nodes = len(proof.arena.nodes)
     for measure_bits in (False, True):
         report = cf_check(bad, measure_bits=measure_bits)
         assert not report.ok and report.step == 2 and report.bit_size == 0
+    assert len(proof.arena.nodes) == nodes  # nothing was hash-consed
+
+
+@pytest.mark.parametrize("node", [-1, 10**6, "g1", None])
+def test_line_circuit_outside_the_arena_is_a_failing_report(node):
+    proof = cf_prove_rfn_res(1, 1, 1, check=False)
+    lines = proof.lines[:2] + ((node, ("canon", 0)),)
+    report = cf_check(CfProof(proof.arena, lines))
+    assert not report.ok and report.step == 2
+
+
+JUST_ATOMS = st.one_of(
+    st.integers(-3, 2000), st.integers(), st.text(max_size=2), st.floats(), st.none(), st.booleans()
+)
+JUST_ARGS = st.one_of(
+    JUST_ATOMS, st.lists(JUST_ATOMS, max_size=4).map(tuple), st.lists(JUST_ATOMS, max_size=3)
+)
+# Justifications of the right length with arguments of any type, and
+# tuples of any rule and length.
+RANDOM_JUSTS = st.one_of(
+    st.tuples(st.sampled_from(("schema", "ext")), JUST_ATOMS, JUST_ARGS),
+    st.tuples(st.just("mp"), JUST_ATOMS, JUST_ATOMS),
+    st.tuples(st.just("canon"), JUST_ATOMS),
+    st.builds(
+        lambda rule, rest: (rule,) + tuple(rest),
+        st.one_of(st.sampled_from(("schema", "ext", "mp", "canon")), JUST_ATOMS),
+        st.lists(JUST_ARGS, max_size=3),
+    ),
+    st.just(()),
+)
+
+
+def test_random_justification_is_a_failing_report():
+    proof = cf_prove_rfn_res(1, 1, 1, check=False)
+
+    @settings(deadline=None)
+    @given(just=RANDOM_JUSTS)
+    def prop(just):
+        # A bare variable is no theorem, so no justification can derive it.
+        lines = proof.lines[:2] + ((proof.arena.var(1), just),)
+        report = cf_check(CfProof(proof.arena, lines))
+        assert not report.ok and report.step == 2
+
+    prop()
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +396,7 @@ def test_rfn_res_conclusion_is_tautology():
 
 
 # ---------------------------------------------------------------------------
-# localization
+# localization and checking once
 
 
 def test_lrfn_from_rfn_pair():
@@ -349,3 +412,31 @@ def test_lrfn_from_rfn_checks_dimensions():
     proof = cf_prove_rfn_res(2, 1, 2)
     with pytest.raises(ValueError, match="dimensions"):
         lrfn_from_rfn(proof, cnf(2, [[1, 2]]))
+
+
+def test_each_proof_is_checked_exactly_once(monkeypatch):
+    calls = []
+    real = cfrege.cf_check
+
+    def counting(proof, *args, **kwargs):
+        calls.append(len(proof))
+        return real(proof, *args, **kwargs)
+
+    monkeypatch.setattr(cfrege, "cf_check", counting)
+
+    def checks(fn, *args, **kwargs):
+        calls.clear()
+        return fn(*args, **kwargs), len(calls)
+
+    proof, n = checks(cf_prove_rfn_res, 1, 1, 1, check=False)
+    assert n == 0
+    assert checks(cf_prove_rfn_res, 1, 1, 1)[1] == 1
+    assert checks(cf_prove_sat_equiv, cnf(1, [[1]]))[1] == 1
+    b = CircuitBuilder(1)
+    assert checks(cf_substitute, proof, {1: b.build(b.not_(b.var(1)))})[1] == 1
+    assert checks(lrfn_from_rfn, proof, cnf(1, [[1]]))[1] == 1
+    pattern = Circuit(1, (("var", 1),))
+    arena = CircuitBuilder(1)
+    unsound = CfProof(arena, ((arena.var(1), ("ext", 0, (arena.var(1),))),))
+    beta = b.build(b.var(1))
+    assert checks(cf_explode, unsound, (0,), beta, extensions=(pattern,))[1] == 1

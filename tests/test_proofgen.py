@@ -1,24 +1,23 @@
 """
 The constructive refutation generator for refutation-existence instances,
-witness embedding in the converse direction, and the local-reflection
-non-tautology record.
+and witness embedding in the converse direction.
 """
 
 import random
 
 import pytest
 
+import proofbench.proofgen as proofgen
 from proofbench.core import cnf, encode_cnf, eval_cnf
-from proofbench.encoder import PolyBudget, build_prf
+from proofbench.encoder import build_prf
 from proofbench.oracle import dpll_refute
 from proofbench.proofgen import (
     encode_witness,
     line_bound,
-    lrfn_nontaut_record,
     refute_prf_nontaut,
 )
 from proofbench.encoder import decode_prf_assignment
-from proofbench.resolution import ResolutionProof, check_refutation
+from proofbench.resolution import CheckReport, ResolutionProof, check_refutation
 
 PAIR = cnf(1, [[1], [-1]])
 SINGLE = cnf(1, [[1]])
@@ -43,6 +42,25 @@ def test_generator_two_var_clause():
     proof = refute_prf_nontaut(f, (1, 0), 3)
     assert check_refutation(_target(f, 3), proof, mode="weakening").ok
     assert len(proof) <= line_bound(3, 2, 1)
+
+
+def test_generator_frozen_two_variable_example():
+    # (0, 1) is the model dpll_sat finds for x1 | x2
+    f = cnf(2, [[1, 2]])
+    proof = refute_prf_nontaut(f, (0, 1), 4)
+    assert len(proof) == 108
+    assert line_bound(4, 2, 1) == 1120
+    assert check_refutation(_target(f, 4), proof, mode="weakening").ok
+
+
+def test_generator_raises_when_its_check_fails(monkeypatch):
+    # a RuntimeError, not an assert, so the guard survives python -O
+    forced = CheckReport(False, 0, "forced failure", 1, 0)
+    monkeypatch.setattr(proofgen, "check_refutation", lambda *a, **k: forced)
+    with pytest.raises(RuntimeError, match="forced failure"):
+        refute_prf_nontaut(SINGLE, (1,), 2)
+    with pytest.raises(RuntimeError, match="forced failure"):
+        refute_prf_nontaut(cnf(1, []), (0,), 2)
 
 
 def test_generator_empty_cnf():
@@ -140,27 +158,3 @@ def test_witness_defaults_to_fresh_artifact():
     proof = dpll_refute(PAIR)
     bits = encode_witness(PAIR, proof, 3)
     assert eval_cnf(_target(PAIR, 3), bits)
-
-
-# ---------------------------------------------------------------------------
-# the non-tautology record
-
-
-def test_lrfn_record_frozen_example():
-    rec = lrfn_nontaut_record(cnf(2, [[1, 2]]), m=4)
-    assert rec["lines"] == 108
-    assert rec["bound"] == line_bound(4, 2, 1) == 1120
-    assert rec["margin"] == 10.37
-    assert rec["valid"] and rec["m"] == 4
-
-
-def test_lrfn_record_default_budget_uses_source_bytes():
-    f = cnf(1, [[1]])
-    rec = lrfn_nontaut_record(f, PolyBudget(p=(0, 1), q=(0, 0, 0, 1)))
-    assert rec["m"] == 14  # p(s) with s = len(b"p cnf 1 1\n1 0\n")
-    assert rec["lines"] <= rec["bound"]
-
-
-def test_lrfn_record_rejects_unsat():
-    with pytest.raises(ValueError, match="satisfiable"):
-        lrfn_nontaut_record(PAIR, m=3)

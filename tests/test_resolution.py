@@ -6,6 +6,7 @@ and the proof text format.
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from proofbench.core import Cnf, cnf, eval_cnf, restrict_cnf
 from proofbench.encoder import build_php
@@ -89,11 +90,51 @@ def test_non_empty_final_clause_rejected():
     assert not rep.ok and "empty" in rep.reason
 
 
-@pytest.mark.parametrize("just", [("A", 99), (), ("R", 0, 1)])
+@pytest.mark.parametrize(
+    "just",
+    [
+        ("A", 99),
+        (),
+        ("R", 0, 1),
+        ("A", "x"),
+        ("A", 0.0),
+        ("R", "a", 0, 1),
+        ("R", 0, 1.0, 1),
+        ("R", 0, 1, "x"),
+        ("R", 0, 1, None),
+    ],
+)
 def test_malformed_justification_is_a_failing_report(just):
-    f = cnf(2, [[1], [2], [-1, -2]])
-    rep = check_refutation(f, ResolutionProof(f, ((frozenset([1]), just),)))
-    assert not rep.ok and rep.step == 0 and rep.bit_size == 0
+    lines = PAIR_PROOF.lines[:2] + ((frozenset(), just),)
+    rep = check_refutation(PAIR, ResolutionProof(PAIR, lines))
+    assert not rep.ok and rep.step == 2 and rep.bit_size == 0
+
+
+JUST_ATOMS = st.one_of(
+    st.integers(-3, 40), st.integers(), st.text(max_size=2), st.floats(), st.none(), st.booleans()
+)
+JUST_ARGS = st.one_of(JUST_ATOMS, st.lists(JUST_ATOMS, max_size=3).map(tuple))
+# Justifications of the right length with arguments of any type, and
+# tuples of any rule and length.
+RANDOM_JUSTS = st.one_of(
+    st.tuples(st.just("A"), JUST_ATOMS),
+    st.tuples(st.just("R"), JUST_ATOMS, JUST_ATOMS, JUST_ATOMS),
+    st.builds(
+        lambda rule, rest: (rule,) + tuple(rest),
+        st.one_of(st.sampled_from(("A", "R", "schema", "ext", "mp", "canon")), JUST_ATOMS),
+        st.lists(JUST_ARGS, max_size=4),
+    ),
+    st.just(()),
+)
+
+
+@settings(deadline=None)
+@given(just=RANDOM_JUSTS, mode=st.sampled_from(("strict", "weakening")))
+def test_random_justification_is_a_failing_report(just, mode):
+    # {1, -1} is the last line and not empty, so no justification saves it
+    lines = PAIR_PROOF.lines[:2] + ((frozenset({1, -1}), just),)
+    rep = check_refutation(PAIR, ResolutionProof(PAIR, lines), mode=mode)
+    assert not rep.ok and rep.step == 2
 
 
 # ---------------------------------------------------------------------------
