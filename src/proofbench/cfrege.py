@@ -23,10 +23,21 @@ helper instances are free under canonization.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-from .core import Circuit, CircuitBuilder, Cnf, code_pos, cone, encode_cnf, eval_circuit, gate_text
+from .core import (
+    Circuit,
+    CircuitBuilder,
+    Cnf,
+    code_pos,
+    cone,
+    encode_cnf,
+    eval_circuit,
+    gate_text,
+    nogc,
+)
 from .encoder import (
     PrfLayout,
     _rfn_parts,
@@ -39,6 +50,12 @@ from .resolution import CheckReport
 
 # ---------------------------------------------------------------------------
 # Canonical forms
+
+
+def _holds(kids: tuple[int, ...], x: int) -> bool:
+    """Whether the sorted tuple ``kids`` contains ``x``."""
+    pos = bisect_left(kids, x)
+    return pos < len(kids) and kids[pos] == x
 
 
 class CanonTable:
@@ -85,9 +102,36 @@ class CanonTable:
     def mk_op(self, op: str, args: Sequence[int]) -> int:
         ann = self.FALSE if op == "and" else self.TRUE
         ident = self.TRUE if op == "and" else self.FALSE
+        forms = self._forms
+        if len(args) == 2:
+            # The common case: one argument is already a canonical ``op``
+            # node, whose children are sorted, deduplicated, constant-free
+            # and complement-free, so only the other argument ``x`` needs
+            # merging in, and only ``x`` can close a complement pair.
+            wide, x = args
+            if forms[x][0] == op:
+                wide, x = x, wide
+            kids = forms[wide][1] if forms[wide][0] == op else None
+            if kids is not None and forms[x][0] != op:
+                if x == ann:
+                    return ann
+                if x == ident:
+                    return wide
+                pos = bisect_left(kids, x)
+                if pos < len(kids) and kids[pos] == x:
+                    return wide
+                form = forms[x]
+                if form[0] == "not" and _holds(kids, form[1]):
+                    return ann
+                # a lookup, not an insert: an un-interned negation of x
+                # cannot be among the children
+                neg = self._intern.get(("not", x))
+                if neg is not None and _holds(kids, neg):
+                    return ann
+                return self._mk((op, kids[:pos] + (x,) + kids[pos:]))
         flat: list[int] = []
         for a in args:
-            form = self._forms[a]
+            form = forms[a]
             if form[0] == op:
                 flat.extend(form[1])
             elif a == ann:
@@ -97,7 +141,7 @@ class CanonTable:
         out = sorted(set(flat))
         outset = set(out)
         for a in out:
-            form = self._forms[a]
+            form = forms[a]
             if form[0] == "not" and form[1] in outset:
                 return ann
         if not out:
@@ -112,6 +156,9 @@ class CanonTable:
     def canon(self, node: int) -> int:
         """Canonical id of an arena node (memoized, iterative)."""
         memo = self._memo
+        got = memo.get(node)
+        if got is not None:
+            return got
         nodes = self.arena.nodes
         stack = [node]
         while stack:
@@ -202,6 +249,7 @@ class CfProof:
         return self.arena.build(self.last_node)
 
 
+@nogc
 def cf_check(
     proof: CfProof, extensions: Sequence[Circuit] = (), measure_bits: bool = False
 ) -> CheckReport:
@@ -216,7 +264,10 @@ def cf_check(
     def fail(step: int, reason: str) -> CheckReport:
         return CheckReport(False, step, reason, len(proof.lines), 0)
 
-    for t, (node, just) in enumerate(proof.lines):
+    for t, line in enumerate(proof.lines):
+        if type(line) is not tuple or len(line) != 2:
+            return fail(t, "line is not a (circuit, justification) pair")
+        node, just = line
         rule = just[0] if type(just) is tuple and just else None
         if type(rule) is not str or rule not in _ARITY:
             return fail(t, f"unknown rule {rule!r}")
@@ -537,7 +588,8 @@ class _Projector:
         got = self._have.get(node)
         if got is not None:
             return got
-        assert self._index_until(node), "node is not a conjunct of gamma"
+        if not self._index_until(node):
+            raise RuntimeError("node is not a conjunct of gamma")
         chain = []
         x = node
         while x not in self._have:
@@ -555,6 +607,7 @@ class _Projector:
 # The reflection proof
 
 
+@nogc
 def cf_prove_rfn_res(m: int, n: int, k: int, check: bool = True) -> CfProof:
     """A Frege proof of ``build_rfn(m, n, k)``: an encoded resolution
     refutation of a coded CNF rules out any satisfying assignment for it.

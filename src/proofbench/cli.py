@@ -9,10 +9,12 @@ JSON report with per-instance records and aggregate least-squares degree
 fits.
 
 Exit codes: 0 success/valid, 1 semantic failure (invalid proof, falsified
-property), 2 usage or I/O trouble.  Identical invocations produce
-byte-identical artifacts; reports vary only in the ``generated_at`` and
-``wall_clock_s`` fields.  The environment variable ``PROOFBENCH_MAX_SECONDS``
-caps each internal search-oracle call (60 seconds when unset).
+property), 2 usage or I/O trouble, 3 internal error (a generator whose own
+proof fails its check, a search that hits its wall-clock cap).  Identical
+invocations produce byte-identical artifacts; reports vary only in the
+``generated_at`` and ``wall_clock_s`` fields.  The environment variable
+``PROOFBENCH_MAX_SECONDS`` caps each internal search-oracle call (60
+seconds when unset).
 
 An external solver may be supplied with ``--solver``; it receives DIMACS on
 stdin.  A SAT claim is trusted only when the accompanying model verifies
@@ -738,6 +740,10 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except (RuntimeError, TimeoutError) as e:
+        # TimeoutError is an OSError, so it must be caught first
+        print(f"internal error: {e}", file=sys.stderr)
+        return 3
     except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -18,6 +18,8 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
+import gc
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -563,3 +565,32 @@ def parse_gates(text: str) -> Circuit:
         b = CircuitBuilder(n_vars)
         return b.build(b.copy(gates, range(len(gates)))[out])
     return Circuit(n_vars, tuple(gates))
+
+
+# ---------------------------------------------------------------------------
+# Proof kernels
+
+
+def nogc(fn: Callable) -> Callable:
+    """Run ``fn`` with the cyclic garbage collector paused.
+
+    Safe for the proof generators and checkers: their arenas, forms and
+    proof lines are tuples of ints, dicts and lists that form no reference
+    cycles, so plain reference counting frees everything they drop.  It
+    pays because the collector untracks those tuples: few tracked objects
+    survive, its full collections are not held back, and each one walks
+    the whole arena.  Each call restores the state it found, so nesting
+    is safe.
+    """
+
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+
+    return paused

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .core import Cnf, encode_cnf
+from .core import Cnf, encode_cnf, nogc
 from .encoder import EncodingArtifact, build_prf
 from .resolution import ProofLine, ResolutionProof, check_refutation
 
@@ -33,6 +33,7 @@ def line_bound(m: int, n: int, k: int) -> int:
     return 10 * m * m * (m + n + k)
 
 
+@nogc
 def refute_prf_nontaut(f: Cnf, a: Sequence[int], m: int) -> ResolutionProof:
     """Refute ``build_prf(m, f.n, f.k, code(f))`` given ``a`` satisfying ``f``.
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .core import Cnf, restrict_clause, restrict_cnf, shift_cnf
+from .core import Cnf, nogc, restrict_clause, restrict_cnf, shift_cnf
 
 
 Justification = tuple
@@ -58,6 +58,7 @@ class CheckReport:
 MODES = ("strict", "weakening")
 
 
+@nogc
 def check_refutation(f: Cnf, proof: ResolutionProof, mode: str = "strict") -> CheckReport:
     """Check that ``proof`` refutes ``f``; see module docstring for modes."""
     if mode not in MODES:
@@ -71,7 +72,12 @@ def check_refutation(f: Cnf, proof: ResolutionProof, mode: str = "strict") -> Ch
     if not proof.lines:
         return fail(0, "empty proof")
 
-    for t, (clause, just) in enumerate(proof.lines):
+    for t, line in enumerate(proof.lines):
+        if type(line) is not tuple or len(line) != 2:
+            return fail(t, "line is not a (clause, justification) pair")
+        clause, just = line
+        if type(clause) is not frozenset:
+            return fail(t, "clause is not a frozenset")
         if type(just) is not tuple or not just:
             return fail(t, "missing or malformed justification")
         if just[0] == "A":
@@ -87,6 +93,8 @@ def check_refutation(f: Cnf, proof: ResolutionProof, mode: str = "strict") -> Ch
             else:
                 if not expected <= clause:
                     return fail(t, "clause does not contain the axiom")
+                if not _literals_within(clause, expected, f.n):
+                    return fail(t, "weakening adds a literal out of range")
         elif just[0] == "R":
             if len(just) != 4:
                 return fail(t, "malformed resolution justification")
@@ -107,12 +115,22 @@ def check_refutation(f: Cnf, proof: ResolutionProof, mode: str = "strict") -> Ch
             else:
                 if not resolvent <= clause:
                     return fail(t, "clause does not contain the resolvent")
+                if not _literals_within(clause, resolvent, f.n):
+                    return fail(t, "weakening adds a literal out of range")
         else:
             return fail(t, f"unknown rule {just[0]!r}")
 
     if proof.lines[-1][0] != frozenset():
         return fail(len(proof.lines) - 1, "final line is not the empty clause")
     return CheckReport(True, None, None, len(proof.lines), proof.bit_size())
+
+
+def _literals_within(clause: frozenset, base: frozenset[int], n: int) -> bool:
+    """Whether what ``clause`` adds to its subset ``base`` are literals over
+    variables ``1..n``, so that a weakened line has a text form."""
+    return len(clause) == len(base) or all(
+        type(lit) is int and 0 < abs(lit) <= n for lit in clause - base
+    )
 
 
 # ---------------------------------------------------------------------------

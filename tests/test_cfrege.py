@@ -5,7 +5,11 @@ localization at a fixed CNF.
 """
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -190,6 +194,29 @@ def test_random_justification_is_a_failing_report():
     prop()
 
 
+# Anything but a (circuit, justification) pair: atoms, lists, and tuples of
+# another length.
+MALFORMED_LINES = st.one_of(
+    JUST_ATOMS,
+    st.lists(JUST_ARGS, max_size=3),
+    st.lists(JUST_ARGS, max_size=4).filter(lambda xs: len(xs) != 2).map(tuple),
+)
+
+
+def test_malformed_line_is_a_failing_report():
+    proof = cf_prove_rfn_res(1, 1, 1, check=False)
+
+    @settings(deadline=None)
+    @given(line=MALFORMED_LINES)
+    def prop(line):
+        lines = proof.lines[:2] + (line,) + proof.lines[2:]
+        for measure_bits in (False, True):
+            report = cf_check(CfProof(proof.arena, lines), measure_bits=measure_bits)
+            assert not report.ok and report.step == 2 and report.bit_size == 0
+
+    prop()
+
+
 # ---------------------------------------------------------------------------
 # canonical forms
 
@@ -230,6 +257,87 @@ def test_canon_collapses_standard_identities():
     assert ct.canon(arena.and_(x, arena.and_(x, y))) == ct.canon(arena.and_(y, x))
     assert ct.canon(arena.imp(x, y)) == ct.canon(arena.or_(arena.not_(x), y))
     assert ct.canon(arena.not_(arena.not_(x))) == ct.canon(x)
+
+
+class _SortSetCanon(CanonTable):
+    """Reference canonizer: ``mk_op`` flattens, sorts and deduplicates
+    every call, and scans the whole result for complement pairs."""
+
+    def mk_op(self, op, args):
+        ann = self.FALSE if op == "and" else self.TRUE
+        ident = self.TRUE if op == "and" else self.FALSE
+        flat = []
+        for a in args:
+            form = self._forms[a]
+            if form[0] == op:
+                flat.extend(form[1])
+            elif a == ann:
+                return ann
+            elif a != ident:
+                flat.append(a)
+        out = sorted(set(flat))
+        for a in out:
+            form = self._forms[a]
+            if form[0] == "not" and form[1] in out:
+                return ann
+        if not out:
+            return ident
+        if len(out) == 1:
+            return out[0]
+        return self._mk((op, tuple(out)))
+
+
+def _expanded(table: CanonTable, cid: int, memo: dict) -> tuple:
+    """The canonical form ``cid`` with every child id replaced by its form."""
+    got = memo.get(cid)
+    if got is None:
+        form = table._forms[cid]
+        if form[0] == "not":
+            got = ("not", _expanded(table, form[1], memo))
+        elif form[0] in ("and", "or"):
+            got = (form[0], tuple(_expanded(table, c, memo) for c in form[1]))
+        else:
+            got = form
+        memo[cid] = got
+    return got
+
+
+@st.composite
+def canon_arenas(draw):
+    """An arena over 1-3 inputs and both constants, grown by random gates,
+    negations of earlier nodes, and left-deep and/or chains up to 8 wide,
+    so that wide children, duplicates and complement pairs all occur."""
+    n = draw(st.integers(1, 3))
+    arena = CircuitBuilder(n)
+    pool = [arena.var(i) for i in range(1, n + 1)] + [arena.const(0), arena.const(1)]
+    pick = st.integers(0, 10**6).map(lambda i: pool[i % len(pool)])
+    gates = {"and": arena.and_, "or": arena.or_, "imp": arena.imp}
+    for kind in draw(st.lists(st.sampled_from(("not", "and", "or", "imp", "chain")), max_size=30)):
+        if kind == "not":
+            pool.append(arena.not_(draw(pick)))
+        elif kind == "chain":
+            gate = gates[draw(st.sampled_from(("and", "or")))]
+            node = draw(pick)
+            for x in draw(st.lists(pick, min_size=1, max_size=7)):
+                node = gate(node, x)
+                pool.append(node)
+        else:
+            pool.append(gates[kind](draw(pick), draw(pick)))
+    return arena, pool
+
+
+@settings(deadline=None, max_examples=300)
+@given(canon_arenas())
+def test_canonical_forms_match_the_sort_set_reference(drawn):
+    arena, pool = drawn
+    ct, ref = CanonTable(arena), _SortSetCanon(arena)
+    got_memo, ref_memo = {}, {}
+    for node in pool:
+        got, want = ct.canon(node), ref.canon(node)
+        assert _expanded(ct, got, got_memo) == _expanded(ref, want, ref_memo)
+        assert got == want
+    # the same forms were interned, in the same order
+    assert ct._forms == ref._forms
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +501,20 @@ def test_rfn_res_unchecked_build_then_check():
 def test_rfn_res_conclusion_is_tautology():
     assert is_tautology(cf_prove_rfn_res(1, 1, 1).last_circuit()) == ("yes",)
     assert is_tautology(cf_prove_rfn_res(2, 1, 1).last_circuit()) == ("yes",)
+
+
+def test_generator_and_checker_keep_their_guards_under_python_O():
+    src = str(Path(cfrege.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "from proofbench.cfrege import cf_check, cf_prove_rfn_res\n"
+        "proof = cf_prove_rfn_res(2, 2, 2)\n"
+        "print(len(proof), cf_check(proof).ok)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == ["5681", "True"]
 
 
 # ---------------------------------------------------------------------------

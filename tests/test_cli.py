@@ -10,6 +10,7 @@ import os
 
 import pytest
 
+import proofbench.cli as cli
 from proofbench.cli import (
     UsageError,
     _classify,
@@ -250,6 +251,25 @@ def test_experiment_json_to_stdout(capsys):
     assert rc == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["experiment"] == "lowerbound-trend"
+
+
+@pytest.mark.parametrize(
+    "name, error, args",
+    [
+        ("refute_prf_nontaut", RuntimeError("reflection proof invalid at line 3"),
+         ["lrfn-nontaut", "--count", "1", "--n", "2", "--k", "2", "--m", "4"]),
+        ("dpll_refute", TimeoutError("dpll_refute: wall-clock cap reached"),
+         ["lowerbound-trend", "--n", "1", "--max-lines", "3"]),
+    ],
+)
+def test_internal_error_is_exit_three(monkeypatch, capsys, name, error, args):
+    def broken(*a, **kw):
+        raise error
+
+    monkeypatch.setattr(cli, name, broken)
+    assert main(["experiment"] + args) == 3
+    err = capsys.readouterr().err
+    assert err == f"internal error: {error}\n"
 
 
 # ---------------------------------------------------------------------------

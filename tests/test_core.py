@@ -1,15 +1,18 @@
 """
-Formula/circuit plumbing: evaluation, codes, templates, and the two
-serialization boundaries (DIMACS, gate lists).
+Formula/circuit plumbing: evaluation, codes, templates, the two
+serialization boundaries (DIMACS, gate lists), and the collector pause
+around the proof kernels.
 """
 
+import gc
 import itertools
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from proofbench.cfrege import instantiate_extension
+import proofbench.proofgen as proofgen
+from proofbench.cfrege import CfProof, cf_check, cf_prove_rfn_res, instantiate_extension
 from proofbench.core import (
     GATE_KINDS,
     Circuit,
@@ -29,11 +32,14 @@ from proofbench.core import (
     instantiate_template,
     is_normalized,
     is_normalized_code,
+    nogc,
     parse_dimacs,
     parse_gates,
     restrict_cnf,
     shift_cnf,
 )
+from proofbench.proofgen import refute_prf_nontaut
+from proofbench.resolution import ResolutionProof, check_refutation
 
 
 # ---------------------------------------------------------------------------
@@ -327,3 +333,90 @@ def test_shift_cnf_disjoint_union():
     assert b == Cnf(2, (frozenset({-2}),))
     with pytest.raises(ValueError):
         shift_cnf(cnf(2, [[1]]), 1, 2)
+
+
+# ---------------------------------------------------------------------------
+# the proof kernels pause the cyclic collector
+
+
+@pytest.fixture
+def collector_state():
+    was = gc.isenabled()
+    yield
+    (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_nogc_pauses_then_restores_the_collector(collector_state, enabled):
+    seen = []
+
+    @nogc
+    def inner():
+        seen.append(gc.isenabled())
+
+    @nogc
+    def outer(fail):
+        inner()
+        seen.append(gc.isenabled())
+        if fail:
+            raise KeyError("inside")
+        return "done"
+
+    (gc.enable if enabled else gc.disable)()
+    assert outer(False) == "done"
+    assert seen == [False, False] and gc.isenabled() == enabled
+    with pytest.raises(KeyError):
+        outer(True)
+    assert gc.isenabled() == enabled
+
+
+def _kernel_calls():
+    """(label, call) for each paused kernel: passing, failing, raising, and
+    the generator that calls a checker inside its own pause."""
+    f = cnf(2, [[1, 2], [-1, 2]])
+    pair = cnf(1, [[1], [-1]])
+    good = ResolutionProof(
+        pair,
+        ((frozenset({1}), ("A", 0)), (frozenset({-1}), ("A", 1)), (frozenset(), ("R", 0, 1, 1))),
+    )
+    bad = ResolutionProof(pair, good.lines[:2])
+    rfn = cf_prove_rfn_res(1, 1, 1, check=False)
+    return [
+        ("cf_prove_rfn_res", lambda: cf_prove_rfn_res(1, 1, 1)),
+        ("cf_check ok", lambda: cf_check(rfn)),
+        ("cf_check failing", lambda: cf_check(CfProof(rfn.arena, rfn.lines[:2] + (None,)))),
+        ("cf_check raising", lambda: cf_check(None)),
+        ("check_refutation ok", lambda: check_refutation(pair, good)),
+        ("check_refutation failing", lambda: check_refutation(pair, bad)),
+        ("check_refutation raising", lambda: check_refutation(pair, good, mode="bogus")),
+        ("refute_prf_nontaut", lambda: refute_prf_nontaut(f, (0, 1), 3)),
+        ("refute_prf_nontaut raising", lambda: refute_prf_nontaut(f, (0, 2), 3)),
+    ]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_proof_kernels_restore_the_collector(collector_state, enabled):
+    for label, call in _kernel_calls():
+        (gc.enable if enabled else gc.disable)()
+        if "raising" in label:
+            with pytest.raises((AttributeError, ValueError)):
+                call()
+        elif "failing" in label:
+            assert not call().ok
+        else:
+            call()
+        assert gc.isenabled() == enabled, label
+
+
+def test_checker_nested_in_the_generator_runs_paused(collector_state, monkeypatch):
+    seen = []
+    real = proofgen.check_refutation
+
+    def spy(*args, **kwargs):
+        seen.append(gc.isenabled())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(proofgen, "check_refutation", spy)
+    gc.enable()
+    assert len(refute_prf_nontaut(cnf(2, [[1, 2], [-1, 2]]), (0, 1), 3)) > 0
+    assert seen == [False] and gc.isenabled()

@@ -137,6 +137,53 @@ def test_random_justification_is_a_failing_report(just, mode):
     assert not rep.ok and rep.step == 2
 
 
+# Values that are not literals of PAIR, none equal to 1 or -1.
+NON_LITERALS = st.one_of(
+    st.integers().filter(lambda v: abs(v) != 1),
+    st.text(max_size=2),
+    st.floats().filter(lambda v: abs(v) != 1),
+    st.none(),
+)
+# Anything but a (frozenset, justification) pair, and weakenings that add a
+# non-literal to a download of PAIR.
+MALFORMED_LINES = st.one_of(
+    JUST_ATOMS,
+    st.lists(JUST_ARGS, max_size=3),
+    st.lists(JUST_ARGS, max_size=4).filter(lambda xs: len(xs) != 2).map(tuple),
+    st.tuples(
+        st.one_of(
+            JUST_ATOMS,
+            st.lists(st.integers(-1, 1), max_size=2),
+            st.sets(st.integers(-1, 1), max_size=2),
+            st.lists(st.integers(-1, 1), max_size=2).map(tuple),
+        ),
+        st.one_of(st.just(("A", 0)), RANDOM_JUSTS),
+    ),
+    st.tuples(
+        st.frozensets(NON_LITERALS, min_size=1).map(lambda c: c | {1}), st.just(("A", 0))
+    ),
+)
+
+
+@settings(deadline=None)
+@given(line=MALFORMED_LINES, mode=st.sampled_from(("strict", "weakening")))
+def test_malformed_line_is_a_failing_report(line, mode):
+    # without the bad line at step 2 this is PAIR_PROOF, which checks
+    lines = PAIR_PROOF.lines[:2] + (line, (frozenset(), ("R", 0, 1, 1)))
+    rep = check_refutation(PAIR, ResolutionProof(PAIR, lines), mode=mode)
+    assert not rep.ok and rep.step == 2 and rep.bit_size == 0
+
+
+@pytest.mark.parametrize("junk", [0, 2, -2, "x", 1.5, None])
+def test_weakening_by_a_non_literal_is_a_failing_report(junk):
+    # a passing report would need the proof's text form, which has no
+    # spelling for ``junk``
+    for just, base in ((("A", 0), PAIR_PROOF.lines[0][0]), (("R", 0, 1, 1), frozenset())):
+        lines = PAIR_PROOF.lines[:2] + ((base | {junk}, just), PAIR_PROOF.lines[2])
+        rep = check_refutation(PAIR, ResolutionProof(PAIR, lines), mode="weakening")
+        assert not rep.ok and rep.step == 2 and "out of range" in rep.reason
+
+
 # ---------------------------------------------------------------------------
 # restriction
 
