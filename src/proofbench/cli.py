@@ -383,7 +383,7 @@ def solver_answer(path: str, f: Cnf) -> tuple:
 
 
 def _classify(f: Cnf, solver: str | None) -> tuple:
-    """('sat', model, advisory_note) or ('unsat', advisory_note)."""
+    """('sat', model, note), ('unsat', note) or ('exhausted', note); note is advisory."""
     note = None
     if solver is not None:
         ans = solver_answer(solver, f)
@@ -394,7 +394,7 @@ def _classify(f: Cnf, solver: str | None) -> tuple:
     res = dpll_sat(f)
     if res[0] == "sat":
         return ("sat", res[1], note)
-    return ("unsat", note)
+    return (res[0], note)
 
 
 # ---------------------------------------------------------------------------

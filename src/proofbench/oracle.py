@@ -10,14 +10,10 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
-from .core import Circuit, Cnf, eval_clause
+from .core import Circuit, Cnf
 from .resolution import ResolutionProof, check_refutation
-
-
-def _env_seconds() -> float:
-    raw = os.environ.get("PROOFBENCH_MAX_SECONDS")
-    return float(raw) if raw else 60.0
 
 
 @dataclass(frozen=True)
@@ -36,7 +32,9 @@ class SearchBudget:
     max_seconds: float | None = None
 
     def deadline(self) -> float:
-        limit = self.max_seconds if self.max_seconds is not None else _env_seconds()
+        limit = self.max_seconds
+        if limit is None:
+            limit = float(os.environ.get("PROOFBENCH_MAX_SECONDS") or 60)
         return time.monotonic() + limit
 
 
@@ -125,201 +123,203 @@ def is_tautology(c: Circuit, budget: SearchBudget = DEFAULT_BUDGET):
 # DPLL
 
 
-def _unit_propagate(clauses, assign, trail, reasons):
-    """Propagate units; returns a falsified clause index or None.
+def _unit_propagate(masks, occurs, reasons, sat, false, prop, decision):
+    """Make ``decision`` true (none at the root) and propagate units;
+    returns the falsified clause index or None, and the new state.
 
-    ``assign`` maps var -> bit, ``trail`` records assignment order, and
-    ``reasons[var]`` is the clause index that forced ``var`` (absent for
-    decisions).
+    Replays the scan that passes over the clauses in index order until a
+    pass changes nothing, assigning the open literal of each clause that
+    is unit when visited.  A heap holds the keys ``pass * len(masks) +
+    index`` of the visits that may act: the root's first pass visits every
+    clause, and an assignment made at clause ``c`` pushes each clause ``d``
+    that holds the literal it falsifies and is now unit or false, for this
+    pass if ``d > c`` and the next one otherwise.  Popped clauses are
+    evaluated afresh, so the units, reasons and first conflict are the scan's.
+
+    The state is three bit sets: ``sat`` of the satisfied clauses, ``false``
+    of the false literals (bit ``v`` for ``v``, ``n + v`` for ``-v``) and
+    ``prop`` of the propagated variables, each forced by ``reasons[var]``.
+    ``masks[ci]`` and ``occurs[lit]`` are the literals of clause ``ci`` and
+    the clauses holding ``lit``, as bit sets.
     """
-    changed = True
-    while changed:
-        changed = False
-        for ci, cl in enumerate(clauses):
-            unassigned = None
-            satisfied = False
-            count = 0
-            for lit in cl:
-                v = abs(lit)
-                if v in assign:
-                    if assign[v] == (1 if lit > 0 else 0):
-                        satisfied = True
-                        break
-                else:
-                    unassigned = lit
-                    count += 1
-            if satisfied:
-                continue
-            if count == 0:
-                return ci
-            if count == 1:
-                v = abs(unassigned)
-                assign[v] = 1 if unassigned > 0 else 0
-                trail.append(v)
-                reasons[v] = ci
-                changed = True
-    return None
+    k = len(masks)
+    n = len(occurs) // 2
+    heap = [] if decision else list(range(k))
+    lit, key, ci = decision, -1, -1
+    while True:
+        if lit:
+            sat |= occurs[lit]
+            false |= 1 << (n + lit if lit > 0 else -lit)
+            live = ~false
+            if ci >= 0:
+                prop |= 1 << abs(lit)
+                reasons[abs(lit)] = ci
+            base = key - ci
+            hit = occurs[-lit] & ~sat
+            while hit:
+                low = hit & -hit
+                hit ^= low
+                d = low.bit_length() - 1
+                rest = masks[d] & live
+                if not rest & (rest - 1):  # unit or false
+                    heappush(heap, base + d if d > ci else base + k + d)
+        if not heap:
+            return None, sat, false, prop
+        key = heappop(heap)
+        ci = key % k
+        rest = masks[ci] & ~false
+        lit = None
+        if sat >> ci & 1 or rest & (rest - 1):
+            continue
+        if not rest:
+            return ci, sat, false, prop
+        b = rest.bit_length() - 1
+        lit = b if b <= n else n - b
 
 
-def dpll_sat(f: Cnf, budget: SearchBudget = DEFAULT_BUDGET):
-    """('sat', model) | ('unsat',) | ('exhausted',).
+def _dpll(f: Cnf, budget: SearchBudget, lines: list | None):
+    """The search behind :func:`dpll_sat` and :func:`dpll_refute`.
 
-    Plain DPLL: unit propagation, branch on the first unassigned variable,
-    try false first.  Decision heuristics are pinned so every run of the
-    package explores the same tree.
-    """
-    deadline = budget.deadline()
-    nodes = 0
-    clauses = list(f.clauses)
-
-    def solve(assign: dict[int, int]):
-        nonlocal nodes
-        nodes += 1
-        if nodes > budget.max_nodes or time.monotonic() > deadline:
-            return ("exhausted",)
-        trail: list[int] = []
-        conflict = _unit_propagate(clauses, assign, trail, {})
-        if conflict is not None:
-            for v in trail:
-                del assign[v]
-            return ("unsat",)
-        var = next((i for i in range(1, f.n + 1) if i not in assign), None)
-        if var is None:
-            model = tuple(assign[i] for i in range(1, f.n + 1))
-            return ("sat", model)
-        for bit in (0, 1):
-            assign[var] = bit
-            res = solve(assign)
-            if res[0] != "unsat":
-                return res
-            del assign[var]
-        for v in trail:
-            del assign[v]
-        return ("unsat",)
-
-    if any(not cl for cl in clauses):
-        return ("unsat",)
-    return solve({})
-
-
-def dpll_refute(f: Cnf, budget: SearchBudget = DEFAULT_BUDGET) -> ResolutionProof:
-    """Extract a resolution refutation from the DPLL search tree.
-
-    Same branching order as :func:`dpll_sat`.  Each closed branch yields a
-    clause over the decision literals on it, obtained by resolving the
-    falsified clause backward through propagation reasons; sibling branches
-    then resolve on the decision variable.  The result checks in strict
-    mode.  Raises ``ValueError`` on satisfiable input and ``TimeoutError``
-    when the budget runs out.
+    Unit propagation, then a branch on the first unassigned variable,
+    false first.  A closed node yields a clause over its negated decisions:
+    the decision literals in the reason cone of the falsified clause, or
+    the resolvent of its children's clauses on its decision variable.  A
+    child whose clause lacks its decision literal closes the parent at
+    once: that clause is false in the other branch too, which so holds no
+    model, and the first model found is plain DPLL's.  With ``lines`` a
+    list, each clause is derived there as a proof line and stands for its
+    index.  Returns ``('sat', model)`` or ``('unsat', root clause)``.
     """
     deadline = budget.deadline()
     nodes = 0
+    n = f.n
     clauses = list(f.clauses)
-    lines: list[tuple[frozenset[int], tuple]] = []
+    masks = [sum(1 << (lit if lit > 0 else n - lit) for lit in cl) for cl in clauses]
+    occurs = [0] * (2 * n + 1)  # indexed by literal: -v lands at 2n+1-v
+    for ci, cl in enumerate(clauses):
+        for lit in cl:
+            occurs[lit] |= 1 << ci
+    variables = (1 << (n + 1)) - 2
+    reasons = [0] * (n + 1)
     line_of: dict[frozenset[int], int] = {}
-    # Path state, shared across decision levels so that explanations can
-    # chase reasons recorded by any ancestor.
-    assign: dict[int, int] = {}
-    reasons: dict[int, int] = {}
+    model = None
 
     def emit(clause: frozenset[int], just: tuple) -> int:
         # Duplicate clauses reuse their first derivation.
-        got = line_of.get(clause)
-        if got is not None:
-            return got
-        lines.append((clause, just))
-        line_of[clause] = len(lines) - 1
-        return len(lines) - 1
+        if clause not in line_of:
+            line_of[clause] = len(lines)
+            lines.append((clause, just))
+        return line_of[clause]
 
     def axiom(ci: int) -> int:
         return emit(clauses[ci], ("A", ci))
 
     def resolve(j1: int, j2: int, pivot: int) -> int:
         c1, c2 = lines[j1][0], lines[j2][0]
-        assert pivot in c1 and -pivot in c2
+        if pivot not in c1 or -pivot not in c2:
+            raise RuntimeError(f"lines {j1} and {j2} do not clash on {pivot}")
         return emit((c1 - {pivot}) | (c2 - {-pivot}), ("R", j1, j2, pivot))
 
-    def explain(start: int, keep: int | None) -> int:
+    def explain(start: int, keep: int | None, prop: int) -> int:
         """From proof line ``start``, resolve away every literal whose
         variable was propagated (skipping ``keep``), leaving a clause over
         decision literals only."""
         line = start
         while True:
             cl = lines[line][0]
-            falsified = next(
-                (lit for lit in cl if abs(lit) != keep and abs(lit) in reasons), None
-            )
+            falsified = next((x for x in cl if abs(x) != keep and prop >> abs(x) & 1), None)
             if falsified is None:
                 return line
             v = abs(falsified)
             # The reason clause forced v's current value, so it contains the
             # true literal on v -- the complement of ours.
-            reason_line = explain(axiom(reasons[v]), v)
+            reason_line = explain(axiom(reasons[v]), v, prop)
             if falsified > 0:
                 line = resolve(line, reason_line, v)
             else:
                 line = resolve(reason_line, line, v)
-        # unreachable
 
-    def solve(var_from: int):
-        """Returns a proof line whose clause is falsified by the current
-        decisions alone, or None if a model was found."""
-        nonlocal nodes
+    def closed(ci: int, prop: int):
+        """The clause of a branch that falsifies clause ``ci``."""
+        if lines is not None:
+            return explain(axiom(ci), None, prop)
+        out, seen, todo = set(), 0, [ci]
+        while todo:
+            for lit in clauses[todo.pop()]:
+                v = abs(lit)
+                if not prop >> v & 1:
+                    out.add(lit)
+                elif not seen >> v & 1:
+                    seen |= 1 << v
+                    todo.append(reasons[v])
+        return frozenset(out)
+
+    def solve(decision: int | None, sat: int, false: int, prop: int):
+        """The clause that closes this node, or None once a model is found."""
+        nonlocal nodes, model
         nodes += 1
         if nodes > budget.max_nodes or time.monotonic() > deadline:
-            raise TimeoutError("refutation extraction budget exhausted")
-        trail: list[int] = []
-        conflict = _unit_propagate(clauses, assign, trail, reasons)
+            raise TimeoutError("DPLL search budget exhausted")
+        state = _unit_propagate(masks, occurs, reasons, sat, false, prop, decision)
+        conflict, sat, false, prop = state
         if conflict is not None:
-            line = explain(axiom(conflict), None)
-            for v in trail:
-                del assign[v]
-                del reasons[v]
-            return line
-        var = next((i for i in range(var_from, f.n + 1) if i not in assign), None)
-        if var is None:
-            for v in trail:
-                del assign[v]
-                del reasons[v]
+            return closed(conflict, prop)
+        free = variables & ~(false | false >> n)
+        if not free:
+            model = tuple(false >> (n + v) & 1 for v in range(1, n + 1))
             return None
-
-        def unwind():
-            for v in trail:
-                del assign[v]
-                del reasons[v]
-
-        branch_lines = []
-        for bit in (0, 1):
-            assign[var] = bit
-            sub = solve(var + 1)
-            del assign[var]
+        var = (free & -free).bit_length() - 1
+        subs = []
+        for lit in (-var, var):  # false first
+            sub = solve(lit, sat, false, prop)
             if sub is None:
-                unwind()
                 return None
-            # The branch clause mentions the decision only if the conflict
-            # depended on it; otherwise it already works for both branches.
-            lit = var if bit == 0 else -var
-            if lit not in lines[sub][0]:
-                unwind()
+            if -lit not in (sub if lines is None else lines[sub][0]):
                 return sub
-            branch_lines.append(sub)
-        merged = resolve(branch_lines[0], branch_lines[1], var)
-        unwind()
-        return merged
+            subs.append(sub)
+        if lines is not None:
+            return resolve(subs[0], subs[1], var)
+        return (subs[0] - {var}) | (subs[1] - {-var})
 
-    for ci, cl in enumerate(clauses):
-        if not cl:
-            axiom(ci)
-            return ResolutionProof(f, tuple(lines))
+    empty = next((ci for ci, cl in enumerate(clauses) if not cl), None)
+    root = solve(None, 0, 0, 0) if empty is None else closed(empty, 0)
+    return ("sat", model) if root is None else ("unsat", root)
 
-    root = solve(1)
-    if root is None:
+
+def dpll_sat(f: Cnf, budget: SearchBudget = DEFAULT_BUDGET):
+    """('sat', model) | ('unsat',) | ('exhausted',).
+
+    DPLL with backjumping (see :func:`_dpll`), without proof recording.
+    The decision order is pinned, so every run explores the same tree,
+    :func:`dpll_refute`'s, and finds the model plain DPLL finds.
+    """
+    try:
+        out = _dpll(f, budget, None)
+    except TimeoutError:
+        return ("exhausted",)
+    return out if out[0] == "sat" else ("unsat",)
+
+
+def dpll_refute(f: Cnf, budget: SearchBudget = DEFAULT_BUDGET) -> ResolutionProof:
+    """Extract a resolution refutation from the search tree of
+    :func:`dpll_sat`: each closed branch resolves its falsified clause
+    backward through the propagation reasons, and sibling branches resolve
+    on their decision variable.  The result checks in strict mode.
+    Raises ``ValueError`` on satisfiable input, ``TimeoutError`` when the
+    budget runs out, and ``RuntimeError`` when the refutation fails its
+    own check.
+    """
+    lines: list[tuple[frozenset[int], tuple]] = []
+    out = _dpll(f, budget, lines)
+    if out[0] == "sat":
         raise ValueError("input is satisfiable; no refutation exists")
-    final = lines[root][0]
-    assert final == frozenset(), f"root clause not empty: {final}"
+    final = lines[out[1]][0]
+    if final:
+        raise RuntimeError(f"root clause not empty: {sorted(final)}")
     proof = ResolutionProof(f, tuple(lines))
     report = check_refutation(f, proof, mode="strict")
-    assert report.ok, f"internal refutation invalid at step {report.step}: {report.reason}"
+    if not report.ok:
+        raise RuntimeError(f"internal refutation invalid at step {report.step}: {report.reason}")
     return proof
 
 

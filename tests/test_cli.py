@@ -7,6 +7,7 @@ solver escape hatch.
 import json
 import math
 import os
+import random
 
 import pytest
 
@@ -14,6 +15,7 @@ import proofbench.cli as cli
 from proofbench.cli import (
     UsageError,
     _classify,
+    _sample_with_status,
     fit_degree,
     main,
     parse_poly,
@@ -321,3 +323,22 @@ def test_classify_falls_back_on_bad_external_answer(tmp_path):
     verdict = _classify(f, liar)
     assert verdict[0] == "sat"
     assert verdict[1] == (1, 0)  # the internal search's model, not the liar's
+
+
+def test_exhausted_search_is_resampled(monkeypatch):
+    # An exhausted search is no verdict: the CNF is drawn again rather than
+    # counted as unsatisfiable.
+    real = cli.dpll_sat
+    calls = []
+
+    def once_exhausted(f, *a):
+        calls.append(f)
+        return ("exhausted",) if len(calls) == 1 else real(f, *a)
+
+    monkeypatch.setattr(cli, "dpll_sat", once_exhausted)
+    assert _classify(cnf(1, [[1], [-1]]), None) == ("exhausted", None)
+    calls.clear()
+    rng = random.Random(5)
+    f, note = _sample_with_status(rng, "unsat", 3, 6, None)
+    assert note is None and real(f) == ("unsat",)
+    assert len(calls) >= 2 and calls[-1] is f and calls[0] is not f

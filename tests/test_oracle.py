@@ -3,14 +3,16 @@ Ground-truth machinery: exhaustive tautology checks, DPLL, refutation
 extraction, and minimal-length search.
 """
 
+import hashlib
 import random
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from proofbench import oracle
-from proofbench.core import CircuitBuilder, cnf, eval_cnf
-from proofbench.encoder import build_php, build_rfn
+from proofbench.core import CircuitBuilder, cnf, encode_cnf, eval_cnf
+from proofbench.encoder import build_php, build_prf, build_rfn, decode_prf_assignment
 from proofbench.oracle import (
     SearchBudget,
     circuit_truth_table,
@@ -20,7 +22,7 @@ from proofbench.oracle import (
     is_tautology,
     min_refutation_length,
 )
-from proofbench.resolution import CheckReport, check_refutation
+from proofbench.resolution import CheckReport, ResolutionProof, check_refutation, emit_proof
 
 PAIR = cnf(1, [[1], [-1]])
 
@@ -141,6 +143,230 @@ def test_dpll_refute_strict_valid_suite():
             continue
         assert check_refutation(f, dpll_refute(f), mode="strict").ok
         found += 1
+
+
+def test_dpll_refute_check_survives_optimization(monkeypatch):
+    # The final self-check is an explicit raise, not an assert, so it also
+    # runs under ``python -O``.
+    def reject(f, proof, mode="strict"):
+        return CheckReport(False, 0, "rejected", len(proof.lines), 0)
+
+    monkeypatch.setattr(oracle, "check_refutation", reject)
+    with pytest.raises(RuntimeError, match="internal refutation invalid"):
+        dpll_refute(PAIR)
+
+
+# ---------------------------------------------------------------------------
+# the search against the scan-order DPLL it replaced
+
+
+def _scan_propagate(clauses, assign, trail, reasons):
+    """Passes over the clauses in index order until one changes nothing;
+    returns the first falsified clause index or None."""
+    changed = True
+    while changed:
+        changed = False
+        for ci, cl in enumerate(clauses):
+            unassigned = None
+            count = 0
+            for lit in cl:
+                if abs(lit) in assign:
+                    if assign[abs(lit)] == (1 if lit > 0 else 0):
+                        break
+                else:
+                    unassigned = lit
+                    count += 1
+            else:
+                if count == 0:
+                    return ci
+                if count == 1:
+                    assign[abs(unassigned)] = 1 if unassigned > 0 else 0
+                    trail.append(abs(unassigned))
+                    reasons[abs(unassigned)] = ci
+                    changed = True
+    return None
+
+
+def _scan_dpll_sat(f):
+    """Plain DPLL over the scan, without backjumping."""
+    clauses = list(f.clauses)
+
+    def solve(assign):
+        trail = []
+        if _scan_propagate(clauses, assign, trail, {}) is None:
+            var = next((i for i in range(1, f.n + 1) if i not in assign), None)
+            if var is None:
+                return ("sat", tuple(assign[i] for i in range(1, f.n + 1)))
+            for bit in (0, 1):
+                assign[var] = bit
+                res = solve(assign)
+                del assign[var]
+                if res[0] == "sat":
+                    return res
+        for v in trail:
+            del assign[v]
+        return ("unsat",)
+
+    return ("unsat",) if any(not cl for cl in clauses) else solve({})
+
+
+def _scan_refutation(f):
+    """The refutation extracted from the scan's search tree, as text."""
+    clauses = list(f.clauses)
+    lines, line_of, assign, reasons = [], {}, {}, {}
+
+    def emit(clause, just):
+        if clause not in line_of:
+            lines.append((clause, just))
+            line_of[clause] = len(lines) - 1
+        return line_of[clause]
+
+    def resolve(j1, j2, pivot):
+        c1, c2 = lines[j1][0], lines[j2][0]
+        return emit((c1 - {pivot}) | (c2 - {-pivot}), ("R", j1, j2, pivot))
+
+    def explain(line, keep):
+        while True:
+            lit = next((x for x in lines[line][0] if abs(x) != keep and abs(x) in reasons), None)
+            if lit is None:
+                return line
+            v = abs(lit)
+            reason_line = explain(emit(clauses[reasons[v]], ("A", reasons[v])), v)
+            line = resolve(line, reason_line, v) if lit > 0 else resolve(reason_line, line, v)
+
+    def solve(var_from):
+        trail = []
+        conflict = _scan_propagate(clauses, assign, trail, reasons)
+        out = None
+        if conflict is not None:
+            out = explain(emit(clauses[conflict], ("A", conflict)), None)
+        else:
+            var = next((i for i in range(var_from, f.n + 1) if i not in assign), None)
+            assert var is not None, "satisfiable"
+            subs = []
+            for bit in (0, 1):
+                assign[var] = bit
+                sub = solve(var + 1)
+                del assign[var]
+                if (var if bit == 0 else -var) not in lines[sub][0]:
+                    out = sub
+                    break
+                subs.append(sub)
+            else:
+                out = resolve(subs[0], subs[1], var)
+        for v in trail:
+            del assign[v]
+            del reasons[v]
+        return out
+
+    empty = next((ci for ci, cl in enumerate(clauses) if not cl), None)
+    if empty is not None:
+        emit(clauses[empty], ("A", empty))
+    else:
+        solve(1)
+    return emit_proof(ResolutionProof(f, tuple(lines)))
+
+
+def _agrees_with_scan(f):
+    want = _scan_dpll_sat(f)
+    assert dpll_sat(f) == want, f.clauses
+    if want[0] == "unsat":
+        assert emit_proof(dpll_refute(f)) == _scan_refutation(f), f.clauses
+    return want[0]
+
+
+def _seeded_cnfs(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 8)
+        clauses = []
+        for _ in range(rng.randint(1, 3 * n)):
+            vs = rng.sample(range(1, n + 1), rng.randint(1, min(3, n)))
+            clauses.append([v if rng.random() < 0.5 else -v for v in vs])
+        yield cnf(n, clauses)
+
+
+def _prf(m, f):
+    return build_prf(m, f.n, f.k, encode_cnf(f, strict=False)).formula
+
+
+F0 = cnf(3, [[1, 2], [-1, 3], [-2, -3]])
+
+
+def test_search_matches_scan_on_seeded_cnfs():
+    answers = [_agrees_with_scan(f) for f in _seeded_cnfs(17, 1500)]
+    assert answers.count("sat") >= 300 and answers.count("unsat") >= 300
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.lists(
+            st.sets(st.integers(-n, n).filter(bool), max_size=4), min_size=1, max_size=12
+        ).map(lambda cls: cnf(n, cls))
+    )
+)
+def test_search_matches_scan_on_random_cnfs(f):
+    _agrees_with_scan(f)
+
+
+def test_search_matches_scan_on_small_prf():
+    # Unsatisfiable prf of satisfiable sources, and satisfiable prf of
+    # refutable ones: models and refutations both get compared.
+    pair2 = cnf(2, [[1], [2], [-1], [-2]])
+    answers = [
+        _agrees_with_scan(_prf(m, f))
+        for m, f in [(1, PAIR), (1, pair2), (2, F0), (3, F0), (3, PAIR), (4, PAIR), (2, pair2)]
+    ]
+    assert answers == ["unsat", "unsat", "unsat", "unsat", "sat", "sat", "unsat"]
+
+
+def test_search_on_prf_4_f0_is_pinned():
+    # The scan-order search produced this refutation, byte for byte; the
+    # backjumping dpll_sat closes the same 6,427-node tree.
+    g = _prf(4, F0)
+    text = emit_proof(dpll_refute(g))
+    assert len(text.splitlines()) == 1493
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "6bed01d0e21baeda64bd7c83adfc049680c6cf011d42dc90cb5f15d3e6ad6254"
+    )
+    assert dpll_sat(g, SearchBudget(max_nodes=6427)) == ("unsat",)
+    assert dpll_sat(g, SearchBudget(max_nodes=6426)) == ("exhausted",)
+
+
+def test_prf_satisfiable_exactly_when_a_short_refutation_exists():
+    # Two independent answers to "is there a refutation of at most l
+    # lines": the minimal-length search, and DPLL on prf(l, F).  A model
+    # decodes to a checked refutation; an unsat answer comes with a checked
+    # refutation of prf(l, F).  The sources are 2-CNFs over two variables
+    # with distinct clauses, whose minima are 3, 5 or 7 lines.  (Over three
+    # variables, a source with no refutation of 5 lines makes prf(5, F) a
+    # DPLL tree of some 10^5 nodes, seconds apiece.)
+    rng = random.Random(53)
+    sources = []
+    while len(sources) < 60:
+        f = cnf(2, [
+            [v if rng.random() < 0.5 else -v for v in rng.sample((1, 2), rng.choice((1, 2, 2)))]
+            for _ in range(rng.randint(2, 5))
+        ])
+        if len(set(f.clauses)) == f.k and dpll_sat(f)[0] == "unsat":
+            sources.append(f)
+    found = 0
+    for f in sources:
+        for length in range(1, 6):
+            short = min_refutation_length(f, length)
+            art = build_prf(length, f.n, f.k, encode_cnf(f, strict=False))
+            ans = dpll_sat(art.formula)
+            assert short[0] in ("found", "none-up-to") and ans[0] in ("sat", "unsat")
+            assert (short[0] == "found") == (ans[0] == "sat"), (f.clauses, length)
+            if ans[0] == "sat":
+                proof = decode_prf_assignment(art, ans[1])
+                assert check_refutation(f, proof, mode="weakening").ok
+                found += 1
+            else:
+                refutation = dpll_refute(art.formula)
+                assert check_refutation(art.formula, refutation, mode="strict").ok
+    assert 60 <= found <= 240  # both answers are common
 
 
 # ---------------------------------------------------------------------------
