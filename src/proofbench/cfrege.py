@@ -31,7 +31,6 @@ from .core import (
     Circuit,
     CircuitBuilder,
     Cnf,
-    code_pos,
     cone,
     encode_cnf,
     eval_circuit,
@@ -503,9 +502,6 @@ class _Gamma:
             if c not in seen:
                 seen.add(c)
                 out.append(p)
-        assert ct.canon(self.w.lines[line][0]) == ct.canon(self.j(self.or_node(out))), (
-            "clause bookkeeping out of sync with its line"
-        )
         return (line, tuple(out))
 
     def res(self, g1: GClause, g2: GClause, pivot: int) -> GClause:
@@ -632,11 +628,10 @@ def cf_prove_rfn_res(m: int, n: int, k: int, check: bool = True) -> CfProof:
     returned (a rejection raises ``RuntimeError``); ``check=False`` returns
     it unchecked, for the caller to check.
     """
-    lay = PrfLayout(m, n, k)
-    V = lay.vars_proof
-    w = _Writer(CircuitBuilder(V + 2 * n * k + n))
+    lay = PrfLayout(m, n, k, symbolic=True)
+    w = _Writer(CircuitBuilder(lay.total_vars + n))
     b = w.arena
-    prf, sat, conj_parts = _rfn_parts(b, m, n, k)
+    prf, sat, conj_parts = _rfn_parts(b, lay)
     gamma = b.and_(prf, sat)
     g = _Gamma(w, gamma)
     ct = w.ct
@@ -653,7 +648,7 @@ def cf_prove_rfn_res(m: int, n: int, k: int, check: bool = True) -> CfProof:
         parts = conj_parts[name]
         return g.clause(proj.line_for(b.or_many(parts)), parts)
 
-    zvar = lambda i: b.var(V + 2 * n * k + i)
+    zvar = lambda i: b.var(lay.z(i))
     yvar = lambda e, i, j: b.var(lay.y(e, i, j))
     zlit = lambda e, i: zvar(i) if e else b.not_(zvar(i))
 
@@ -662,7 +657,7 @@ def cf_prove_rfn_res(m: int, n: int, k: int, check: bool = True) -> CfProof:
         return b.or_(b.and_(yvar(1, i, j), zvar(i)), b.and_(yvar(0, i, j), b.not_(zvar(i))))
 
     def pick(i: int, l: int) -> int:
-        cvar = lambda e: b.var(V + code_pos(e, i, l, n, k) + 1)
+        cvar = lambda e: b.var(lay.code(e, i, l))
         return b.or_(b.and_(cvar(1), zvar(i)), b.and_(cvar(0), b.not_(zvar(i))))
 
     # gamma -> (H -> side_of_H) for and-nodes H, and the same as a clause.
@@ -712,7 +707,7 @@ def cf_prove_rfn_res(m: int, n: int, k: int, check: bool = True) -> CfProof:
         branch_lines = []
         hs = []
         for e in (1, 0):
-            cvar = b.var(V + code_pos(e, i, l, n, k) + 1)
+            cvar = b.var(lay.code(e, i, l))
             h = b.and_(cvar, zlit(e, i))
             hs.append(h)
             step = g.res(half_clause(h, 0), use(("c2", j, l, i, e)), cvar)
@@ -1075,31 +1070,28 @@ def lrfn_from_rfn(proof: CfProof, f: Cnf) -> CfProof:
     """
     rfn = proof.last_circuit()
     n, k = f.n, f.k
-    m = _solve_m(rfn.n_vars, n, k)
+    m = 1
+    while PrfLayout(m, n, k, symbolic=True).total_vars + n < rfn.n_vars:
+        m += 1
     # input counts can collide across layouts, so insist on the real shape
-    if m is None or rfn != build_rfn(m, n, k):
+    if rfn != build_rfn(m, n, k):
         raise ValueError("formula dimensions do not match the proof's layout")
-    V = PrfLayout(m, n, k).vars_proof
+    sym, lay = PrfLayout(m, n, k, symbolic=True), PrfLayout(m, n, k)
     code = encode_cnf(f, strict=False)
-    cb = CircuitBuilder(V + n)
+    cb = CircuitBuilder(lay.total_vars + n)
     gamma: dict[int, Circuit] = {}
-    for q in range(2 * n * k):
-        gamma[V + q + 1] = cb.build(cb.const(code.bits[q]))
+    # code_pos order, then z: the arena imports these in insertion order
+    for e in (0, 1):
+        for i in range(1, n + 1):
+            for l in range(1, k + 1):
+                gamma[sym.code(e, i, l)] = cb.build(cb.const(code.get(e, i, l)))
     for i in range(1, n + 1):
-        gamma[V + 2 * n * k + i] = cb.build(cb.var(V + i))
+        gamma[sym.z(i)] = cb.build(cb.var(lay.z(i)))
     target = build_lrfn(f, m)
-    sub, tnode = _rehouse(_substitute(proof, gamma, V + n), target)
+    sub, tnode = _rehouse(_substitute(proof, gamma, lay.total_vars + n), target)
     lines = list(sub.lines)
     lines.append((tnode, ("canon", len(lines) - 1)))
     out = CfProof(sub.arena, tuple(lines))
     assert out.last_circuit() == target
     return _checked(out, "localized")
 
-
-def _solve_m(total: int, n: int, k: int) -> int | None:
-    m = 1
-    while m * (3 * n + k + m) + 2 * n * k + n <= total:
-        if m * (3 * n + k + m) + 2 * n * k + n == total:
-            return m
-        m += 1
-    return None

@@ -3,10 +3,10 @@ experiment suites with machine-readable reports.
 
 Three subcommands.  ``encode`` writes a family member as DIMACS (CNF
 families) or a gate list (circuit families), with an optional
-``<index> <name>`` variable-map sidecar.  ``check`` verifies a resolution
-refutation against its CNF.  ``experiment`` runs a batch suite and emits a
-JSON report with per-instance records and aggregate least-squares degree
-fits.
+``<index> <name>`` variable-map sidecar: one line per input, in input order,
+named by the encoder.  ``check`` verifies a resolution refutation against its
+CNF.  ``experiment`` runs a batch suite and emits a JSON report with
+per-instance records and aggregate least-squares degree fits.
 
 Exit codes: 0 success/valid, 1 semantic failure (invalid proof, falsified
 property), 2 usage or I/O trouble, 3 internal error (a generator whose own
@@ -15,11 +15,6 @@ invocations produce byte-identical artifacts; reports vary only in the
 ``generated_at`` and ``wall_clock_s`` fields.  The environment variable
 ``PROOFBENCH_MAX_SECONDS`` caps each internal search-oracle call (60
 seconds when unset).
-
-An external solver may be supplied with ``--solver``; it receives DIMACS on
-stdin.  A SAT claim is trusted only when the accompanying model verifies
-against the formula, an UNSAT claim is recorded as advisory and re-derived
-internally, so the trusted base stays in-process.
 """
 
 from __future__ import annotations
@@ -30,11 +25,11 @@ import json
 import math
 import random
 import re
-import subprocess
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
+from itertools import chain
 
 from .cfrege import cf_check, cf_prove_rfn_res
 from .core import (
@@ -50,16 +45,18 @@ from .encoder import (
     PolyBudget,
     PrfLayout,
     am_reduce,
+    block_names,
     build_clique_color,
     build_con,
     build_lrfn,
     build_php,
     build_prf,
-    build_prf_template,
     build_rfn,
     build_sat,
     build_strongly_friendly,
-    layout_map_text,
+    code_names,
+    map_text,
+    strongly_friendly_layout,
 )
 from .oracle import dpll_refute, dpll_sat, min_refutation_length
 from .proofgen import encode_witness, line_bound, refute_prf_nontaut
@@ -143,64 +140,6 @@ def fit_degree(xs: list[float], ys: list[float]) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Variable-map sidecars: one "<index> <name>" line per input
-
-
-def _code_map_lines(base: int, n: int, k: int) -> list[str]:
-    out = []
-    for q in range(2 * n * k):
-        e, r = divmod(q, n * k)
-        i, l = divmod(r, k)
-        out.append(f"{base + q + 1} c[e={e},i={i + 1},l={l + 1}]")
-    return out
-
-
-def _block_map_lines(base: int, count: int, name: str) -> list[str]:
-    return [f"{base + i} {name}[{i}]" for i in range(1, count + 1)]
-
-
-def _proof_map_lines(lay: PrfLayout) -> list[str]:
-    return [f"{v} {lay.var_name(v)}" for v in range(1, lay.vars_proof + 1)]
-
-
-def _sat_map_text(n: int, k: int) -> str:
-    lines = _code_map_lines(0, n, k) + _block_map_lines(2 * n * k, n, "z")
-    return "\n".join(lines) + "\n"
-
-
-def _rfn_map_text(m: int, n: int, k: int) -> str:
-    lay = PrfLayout(m, n, k)
-    V = lay.vars_proof
-    lines = (
-        _proof_map_lines(lay)
-        + _code_map_lines(V, n, k)
-        + _block_map_lines(V + 2 * n * k, n, "z")
-    )
-    return "\n".join(lines) + "\n"
-
-
-def _lrfn_map_text(m: int, f: Cnf) -> str:
-    lay = PrfLayout(m, f.n, f.k)
-    lines = _proof_map_lines(lay) + _block_map_lines(lay.vars_proof, f.n, "z")
-    return "\n".join(lines) + "\n"
-
-
-def _friendly_map_text(n: int, budget: PolyBudget, k: int | None) -> str:
-    if k is None:
-        k = 2 * n
-    m = budget.eval_p(n)
-    tpl = build_prf_template(m, n, k)
-    lay_out = PrfLayout(budget.eval_p(m), tpl.n, tpl.k)
-    V = lay_out.vars_proof
-    lines = (
-        _proof_map_lines(lay_out)
-        + _code_map_lines(V, n, k)
-        + _block_map_lines(V + 2 * n * k, tpl.n, "u")
-    )
-    return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
 # encode
 
 
@@ -223,7 +162,6 @@ def cmd_encode(args: argparse.Namespace) -> int:
         p=parse_poly(args.p) if args.p else PolyBudget().p,
         q=parse_poly(args.q) if args.q else PolyBudget().q,
     )
-    map_text: str | None = None
     note = ""
 
     if fam == "prf":
@@ -238,34 +176,34 @@ def cmd_encode(args: argparse.Namespace) -> int:
         m, n, k = _need(args, "m", "n", "k")
         art = build_prf(m, n, k, code)
         text = emit_dimacs(art.formula)
-        map_text = layout_map_text(art.layout)
+        names = art.layout.names()
         note = f"prf m={m} n={n} k={k}: {art.formula.n} vars, {len(art.formula.clauses)} clauses"
     elif fam == "sat":
         n, k = _need(args, "n", "k")
         text = emit_gates(build_sat(n, k))
-        map_text = _sat_map_text(n, k)
+        names = chain(code_names(n, k), block_names("z", n))
         note = f"sat n={n} k={k}"
     elif fam == "rfn":
         m, n, k = _need(args, "m", "n", "k")
         text = emit_gates(build_rfn(m, n, k))
-        map_text = _rfn_map_text(m, n, k)
+        names = chain(PrfLayout(m, n, k, symbolic=True).names(), block_names("z", n))
         note = f"rfn m={m} n={n} k={k}"
     elif fam == "lrfn":
         (m,) = _need(args, "m")
         f = _load_cnf(args.cnf, "--cnf")
         text = emit_gates(build_lrfn(f, m))
-        map_text = _lrfn_map_text(m, f)
+        names = chain(PrfLayout(m, f.n, f.k).names(), block_names("z", f.n))
         note = f"lrfn m={m} over {f.n} vars, {len(f.clauses)} clauses"
     elif fam == "con":
         m, n = _need(args, "m", "n")
         text = emit_gates(build_con(m, n))
-        map_text = "\n".join(_proof_map_lines(PrfLayout(m, n, 0))) + "\n"
+        names = PrfLayout(m, n, 0).names()
         note = f"con m={m} n={n}"
     elif fam == "am":
         f = _load_cnf(args.cnf, "--cnf")
         art = am_reduce(f, budget)
         text = emit_dimacs(art.formula)
-        map_text = layout_map_text(art.layout)
+        names = art.layout.names()
         note = (
             f"am m={art.layout.m} (source {art.params['source_bytes']} bytes): "
             f"{art.formula.n} vars, {len(art.formula.clauses)} clauses"
@@ -274,14 +212,7 @@ def cmd_encode(args: argparse.Namespace) -> int:
         p, h = _need(args, "pigeons", "holes")
         f = build_php(p, h)
         text = emit_dimacs(f)
-        map_text = (
-            "\n".join(
-                f"{(i - 1) * h + j} p[{i},{j}]"
-                for i in range(1, p + 1)
-                for j in range(1, h + 1)
-            )
-            + "\n"
-        )
+        names = (f"p[{i},{j}]" for i in range(1, p + 1) for j in range(1, h + 1))
         note = f"php {p} pigeons, {h} holes"
     elif fam == "clique-color":
         k, v = _need(args, "k", "vertices")
@@ -290,15 +221,13 @@ def cmd_encode(args: argparse.Namespace) -> int:
             raise UsageError("encode clique-color needs --out (clique side) and --out2 (color side)")
         text = emit_dimacs(side_a)
         _write_text(args.out2, emit_dimacs(side_b))
-        map_text = (
-            "\n".join(f"{var} e[{u},{w}]" for (u, w), var in sorted(edges.items()))
-            + "\n"
-        )
+        names = (f"e[{u},{w}]" for u, w in edges)  # edges are numbered in insertion order
         note = f"clique-color k={k} on {v} vertices (shared edge vars in the map)"
     elif fam == "strongly-friendly":
         (n,) = _need(args, "n")
         text = emit_gates(build_strongly_friendly(n, budget, args.k))
-        map_text = _friendly_map_text(n, budget, args.k)
+        k, lay = strongly_friendly_layout(n, budget, args.k)
+        names = chain(lay.names(), code_names(n, k), block_names("u", lay.n))
         note = f"strongly-friendly n={n}"
     else:  # pragma: no cover - argparse rejects unknown families
         raise UsageError(f"unknown family {fam!r}")
@@ -307,8 +236,7 @@ def cmd_encode(args: argparse.Namespace) -> int:
         raise UsageError("encode needs --out")
     _write_text(args.out, text)
     if args.map is not None:
-        assert map_text is not None
-        _write_text(args.map, map_text)
+        _write_text(args.map, map_text(names))
     if args.out != "-":
         print(f"wrote {args.out}: {note}")
     return 0
@@ -330,74 +258,6 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# external solver escape hatch
-
-
-def solver_answer(path: str, f: Cnf) -> tuple:
-    """Pipe DIMACS to an external solver; never trust it blindly.
-
-    Returns ``('sat', model)`` only when the claimed model verifies against
-    ``f``, ``('unsat-advisory',)`` for an UNSAT claim (advice, not ground
-    truth), else ``('unknown', note)``.
-    """
-    try:
-        proc = subprocess.run(
-            [path],
-            input=emit_dimacs(f),
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
-    except (OSError, subprocess.TimeoutExpired) as e:
-        return ("unknown", f"solver did not run: {e}")
-    claimed_sat = False
-    lits: list[int] = []
-    for line in proc.stdout.splitlines():
-        line = line.strip()
-        if not line or line.startswith("c"):
-            continue
-        if line.startswith("s "):
-            line = line[2:].strip()
-        if line.upper().startswith("UNSAT"):
-            return ("unsat-advisory",)
-        if line.upper().startswith("SAT"):
-            claimed_sat = True
-            continue
-        if line.startswith("v "):
-            line = line[2:]
-        try:
-            lits.extend(int(tok) for tok in line.split())
-        except ValueError:
-            continue
-    if not claimed_sat:
-        return ("unknown", "no verdict line in solver output")
-    a = [0] * f.n
-    for lit in lits:
-        if lit == 0:
-            break
-        if 1 <= abs(lit) <= f.n:
-            a[abs(lit) - 1] = 1 if lit > 0 else 0
-    if eval_cnf(f, a):
-        return ("sat", tuple(a))
-    return ("unknown", "claimed model fails verification")
-
-
-def _classify(f: Cnf, solver: str | None) -> tuple:
-    """('sat', model, note), ('unsat', note) or ('exhausted', note); note is advisory."""
-    note = None
-    if solver is not None:
-        ans = solver_answer(solver, f)
-        if ans[0] == "sat":
-            return ("sat", ans[1], "external, model verified")
-        if ans[0] == "unsat-advisory":
-            note = "external solver claimed unsat; re-derived internally"
-    res = dpll_sat(f)
-    if res[0] == "sat":
-        return ("sat", res[1], note)
-    return (res[0], note)
-
-
-# ---------------------------------------------------------------------------
 # experiment workers (top-level so a process pool can import them)
 
 
@@ -412,15 +272,15 @@ def _random_cnf(rng: random.Random, max_n: int, max_k: int, max_width: int = 3) 
     return cnf(nv, clauses)
 
 
-def _sample_with_status(
-    rng: random.Random, want: str, max_n: int, max_k: int, solver: str | None
-) -> tuple:
-    """Rejection-sample a CNF whose satisfiability status is ``want``."""
+def _sample_with_status(rng: random.Random, want: str, max_n: int, max_k: int) -> tuple:
+    """Rejection-sample a CNF whose satisfiability status is ``want``:
+    ``(f, model)`` for ``sat``, ``(f,)`` for ``unsat``.  An ``exhausted``
+    search is no verdict, so that CNF is drawn again."""
     while True:
         f = _random_cnf(rng, max_n, max_k, max_width=2 if want == "unsat" else 3)
-        got = _classify(f, solver)
-        if got[0] == want:
-            return (f,) + got[1:]
+        res = dpll_sat(f)
+        if res[0] == want:
+            return (f,) + res[1:]
 
 
 def _lrfn_task(task: tuple) -> dict:
@@ -439,13 +299,11 @@ def _lrfn_task(task: tuple) -> dict:
 
 
 def _am_task(task: tuple) -> dict:
-    f, status, model, note, p, q = task
+    f, status, model, p, q = task
     budget = PolyBudget(p=p, q=q)
     art = am_reduce(f, budget)
     m = art.layout.m
     rec: dict = {"status": status, "m": m, "source_n": f.n, "source_k": f.k}
-    if note:
-        rec["solver_note"] = note
     if status == "sat":
         lines = len(refute_prf_nontaut(f, model, m))  # checked, as in _lrfn_task
         q_bound = budget.eval_q(m)
@@ -469,12 +327,12 @@ def _trend_task(task: tuple) -> dict:
     rec: dict = {"n": f.n, "vars": rho.n, "clauses": len(rho.clauses)}
     upper = dpll_refute(rho)
     rec["dpll_upper"] = len(upper.lines)
-    rec["dpll_valid"] = check_refutation(rho, upper, mode="strict").ok
+    rec["dpll_valid"] = True  # dpll_refute raises on a proof that fails its check
     res = min_refutation_length(rho, max_lines)
     rec["search"] = res[0]
     if res[0] == "found":
         rec["value"] = res[1]
-        rec["valid"] = check_refutation(rho, res[2], mode="strict").ok
+        rec["valid"] = True  # min_refutation_length raises on a proof that fails its check
     elif res[0] == "none-up-to":
         rec["value"] = res[1] + 1  # certified lower bound
     else:
@@ -526,10 +384,9 @@ def _exp_lrfn_nontaut(args: argparse.Namespace) -> tuple[dict, list, dict, bool]
     params = {"count": args.count, "n": args.n, "k": args.k, "m": ms, "seed": args.seed}
     rng = random.Random(args.seed)
     instances = [
-        _sample_with_status(rng, "sat", args.n, args.k, args.solver)
-        for _ in range(args.count)
+        _sample_with_status(rng, "sat", args.n, args.k) for _ in range(args.count)
     ]
-    tasks = [(f, model, m) for f, model, _ in instances for m in ms]
+    tasks = [(f, model, m) for f, model in instances for m in ms]
     records = _run_tasks(_lrfn_task, tasks, args.workers)
     fits = {}
     if len(ms) >= 2:
@@ -555,11 +412,10 @@ def _exp_am_roundtrip(args: argparse.Namespace) -> tuple[dict, list, dict, bool]
     tasks = []
     for idx in range(args.count):
         want = "sat" if idx % 2 == 0 else "unsat"
-        got = _sample_with_status(rng, want, args.n, 2 * args.n, args.solver)
+        got = _sample_with_status(rng, want, args.n, 2 * args.n)
         f = got[0]
         model = got[1] if want == "sat" else None
-        note = got[-1]
-        tasks.append((f, want, model, note, p, q))
+        tasks.append((f, want, model, p, q))
     records = _run_tasks(_am_task, tasks, args.workers)
     correct = sum(1 for r in records if r["direction_ok"])
     skipped = sum(1 for r in records if r["direction_ok"] is None)
@@ -724,7 +580,6 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--seed", type=int, default=0)
     exp.add_argument("--workers", type=int, default=1)
     exp.add_argument("--report", help="write the JSON report here instead of stdout")
-    exp.add_argument("--solver", help="external SAT solver fed DIMACS on stdin")
     exp.set_defaults(func=cmd_experiment)
     return top
 

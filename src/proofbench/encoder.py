@@ -33,7 +33,7 @@ for ``m(3n + k + m)`` variables in total, plus ``2nk`` code inputs
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import (
     Circuit,
@@ -142,35 +142,46 @@ class PrfLayout:
         assert self.symbolic, "instantiated layout has no code inputs"
         return self.vars_proof + code_pos(e, i, l, self.n, self.k) + 1
 
-    def var_name(self, v: int) -> str:
-        """Human-readable name for variable ``v``, for map sidecars."""
+    def z(self, i: int) -> int:
+        """Input ``i`` of the assignment that follows the layout."""
+        assert 1 <= i <= self.n
+        return self.total_vars + i
+
+    def names(self) -> Iterator[str]:
+        """Each variable's name in index order: the x block, then the c
+        block when symbolic."""
         m, n, k = self.m, self.n, self.k
-        assert 1 <= v <= self.total_vars
-        if v <= 2 * n * m:
-            j, r = divmod(v - 1, 2 * n)
-            i, e = divmod(r, 2)
-            return f"y[e={e},i={i + 1},j={j + 1}]"
-        v2 = v - 2 * n * m
-        if v2 <= m:
-            return f"ax[j={v2}]"
-        v2 -= m
-        if v2 <= k * m:
-            j, l = divmod(v2 - 1, k)
-            return f"s[l={l + 1},j={j + 1}]"
-        v2 -= k * m
-        if v2 <= n * m:
-            j, i = divmod(v2 - 1, n)
-            return f"piv[i={i + 1},j={j + 1}]"
-        v2 -= n * m
-        half = m * (m - 1) // 2
-        side = "L" if v2 <= half else "R"
-        if v2 > half:
-            v2 -= half
-        j = 2
-        while (j - 1) * j // 2 < v2:
-            j += 1
-        jp = v2 - (j - 2) * (j - 1) // 2
-        return f"{side}[j'={jp},j={j}]"
+        for j in range(1, m + 1):
+            for i in range(1, n + 1):
+                for e in (0, 1):
+                    yield f"y[e={e},i={i},j={j}]"
+        for j in range(1, m + 1):
+            yield f"ax[j={j}]"
+        for j in range(1, m + 1):
+            for l in range(1, k + 1):
+                yield f"s[l={l},j={j}]"
+        for j in range(1, m + 1):
+            for i in range(1, n + 1):
+                yield f"piv[i={i},j={j}]"
+        for side in ("L", "R"):
+            for j in range(2, m + 1):
+                for jp in range(1, j):
+                    yield f"{side}[j'={jp},j={j}]"
+        if self.symbolic:
+            yield from code_names(n, k)
+
+
+def code_names(n: int, k: int) -> Iterator[str]:
+    """The names of the ``2nk`` code bits, in ``code_pos`` order."""
+    for e in (0, 1):
+        for i in range(1, n + 1):
+            for l in range(1, k + 1):
+                yield f"c[e={e},i={i},l={l}]"
+
+
+def block_names(name: str, count: int) -> Iterator[str]:
+    """``name[1]`` .. ``name[count]``: an input block with no inner structure."""
+    return (f"{name}[{i}]" for i in range(1, count + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -399,20 +410,20 @@ def build_rfn(m: int, n: int, k: int) -> Circuit:
     Inputs: proof bits x (``m(3n+k+m)``), then code bits c (``2nk``), then
     the candidate assignment z (``n``).
     """
-    b = CircuitBuilder(PrfLayout(m, n, k).vars_proof + 2 * n * k + n)
-    prf, sat, _ = _rfn_parts(b, m, n, k)
+    lay = PrfLayout(m, n, k, symbolic=True)
+    b = CircuitBuilder(lay.total_vars + n)
+    prf, sat, _ = _rfn_parts(b, lay)
     return b.build(b.imp(prf, b.not_(sat)))
 
 
-def _rfn_parts(b: CircuitBuilder, m: int, n: int, k: int) -> tuple[int, int, dict[tuple, list[int]]]:
-    """The two sides of rfn inside a caller-owned builder, and prf's
-    constraint disjuncts by name (the Frege-proof generator rebuilds the
-    sides to state its final theorem and reasons over the disjuncts)."""
-    lay = PrfLayout(m, n, k)
-    V = lay.vars_proof
-    code_of = lambda e, i, l: b.var(V + code_pos(e, i, l, n, k) + 1)
+def _rfn_parts(b: CircuitBuilder, lay: PrfLayout) -> tuple[int, int, dict[tuple, list[int]]]:
+    """The two sides of rfn over the symbolic layout ``lay`` inside a
+    caller-owned builder, and prf's constraint disjuncts by name (the
+    Frege-proof generator rebuilds the sides to state its final theorem
+    and reasons over the disjuncts)."""
+    code_of = lambda e, i, l: b.var(lay.code(e, i, l))
     prf, parts = _prf_circuit(b, lay, lambda v: b.var(v), code_of)
-    sat = _sat_circuit(b, n, k, code_of, lambda i: b.var(V + 2 * n * k + i))
+    sat = _sat_circuit(b, lay.n, lay.k, code_of, lambda i: b.var(lay.z(i)))
     return prf, sat, parts
 
 
@@ -567,6 +578,18 @@ def build_prf_template(m: int, n: int, k: int) -> TemplateCode:
     return TemplateCode(V, K, 2 * n * k, tuple(entries))
 
 
+def strongly_friendly_layout(n: int, budget: PolyBudget, k: int | None) -> tuple[int, PrfLayout]:
+    """The inner clause count (``2n`` unless given) and the outer layout of
+    :func:`build_strongly_friendly`: outer proofs refute the inner
+    ``prf(p(n), n, k)``, so the outer ``n`` and ``k`` are its proof-variable
+    and clause counts, and the outer ``n`` is also the width of u."""
+    if k is None:
+        k = 2 * n
+    inner = PrfLayout(budget.eval_p(n), n, k)
+    k_in = sum(1 for _ in _prf_clauses(inner))
+    return k, PrfLayout(budget.eval_p(inner.m), inner.vars_proof, k_in)
+
+
 def build_strongly_friendly(
     n: int, budget: PolyBudget = DEFAULT_BUDGET, k: int | None = None
 ) -> Circuit:
@@ -579,13 +602,9 @@ def build_strongly_friendly(
     instance.  Inputs: x (outer proof bits), then the ``2nk`` inner code
     bits y, then u (a candidate assignment for the inner prf variables).
     """
-    if k is None:
-        k = 2 * n
-    m = budget.eval_p(n)
-    tpl = build_prf_template(m, n, k)
-    n_in, k_in = tpl.n, tpl.k  # inner prf: variable and clause counts
-    m_out = budget.eval_p(m)
-    lay_out = PrfLayout(m_out, n_in, k_in)
+    k, lay_out = strongly_friendly_layout(n, budget, k)
+    n_in, k_in = lay_out.n, lay_out.k
+    tpl = build_prf_template(budget.eval_p(n), n, k)
     V_out = lay_out.vars_proof
     params = 2 * n * k
     b = CircuitBuilder(V_out + params + n_in)
@@ -606,15 +625,11 @@ def build_strongly_friendly(
 # Sidecar variable maps
 
 
+def map_text(names: Iterable[str]) -> str:
+    """One ``<index> <name>`` line per input, numbering ``names`` from 1."""
+    return "\n".join(f"{v} {name}" for v, name in enumerate(names, start=1)) + "\n"
+
+
 def layout_map_text(lay: PrfLayout) -> str:
-    """One ``<index> <name>`` line per variable, grouped by block."""
-    out = []
-    for v in range(1, lay.total_vars + 1):
-        if lay.symbolic and v > lay.vars_proof:
-            q = v - lay.vars_proof - 1
-            e, r = divmod(q, lay.n * lay.k)
-            i, l = divmod(r, lay.k)
-            out.append(f"{v} c[e={e},i={i + 1},l={l + 1}]")
-        else:
-            out.append(f"{v} {lay.var_name(v)}")
-    return "\n".join(out) + "\n"
+    """The map of a ``prf`` formula: one line per variable of ``lay``."""
+    return map_text(lay.names())

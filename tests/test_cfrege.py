@@ -507,14 +507,20 @@ def test_generator_and_checker_keep_their_guards_under_python_O():
     src = str(Path(cfrege.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = (
-        "from proofbench.cfrege import cf_check, cf_prove_rfn_res\n"
+        "import hashlib\n"
+        "from proofbench.cfrege import cf_check, cf_prove_rfn_res, cf_serialize\n"
         "proof = cf_prove_rfn_res(2, 2, 2)\n"
-        "print(len(proof), cf_check(proof).ok)\n"
+        "print(len(proof), cf_check(proof).ok, hashlib.sha256(cf_serialize(proof).encode()).hexdigest())\n"
     )
-    out = subprocess.run(
-        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.split() == ["5681", "True"]
+    outs = [
+        subprocess.run(
+            [sys.executable, *flags, "-c", code], env=env, capture_output=True, text=True, check=True
+        ).stdout.split()
+        for flags in (["-O"], [])
+    ]
+    assert outs[0][:2] == ["5681", "True"]
+    # the same proof text: no assert feeds the arena
+    assert outs[0] == outs[1]
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,12 @@
 """
 The command-line surface: polynomial parsing, degree fitting, the three
-subcommands' exit codes and outputs, report determinism, and the external
-solver escape hatch.
+subcommands' exit codes and outputs, the bytes of every encoded family, and
+report determinism.
 """
 
+import hashlib
 import json
 import math
-import os
 import random
 
 import pytest
@@ -14,14 +14,12 @@ import pytest
 import proofbench.cli as cli
 from proofbench.cli import (
     UsageError,
-    _classify,
     _sample_with_status,
     fit_degree,
     main,
     parse_poly,
-    solver_answer,
 )
-from proofbench.core import cnf, emit_dimacs, parse_dimacs, parse_gates
+from proofbench.core import emit_dimacs, parse_dimacs, parse_gates
 from proofbench.encoder import build_php, build_sat
 
 PAIR_DIMACS = "p cnf 1 2\n1 0\n-1 0\n"
@@ -101,6 +99,34 @@ def test_encode_clique_color_writes_both_sides(tmp_path):
     assert vmap.read_text().splitlines() == ["1 e[1,2]", "2 e[1,3]", "3 e[2,3]"]
     rc = main(["encode", "clique-color", "--k", "1", "--vertices", "3", "--out", str(a)])
     assert rc == 2  # missing --out2
+
+
+# sha256 prefixes of --out and --map (and clique-color's --out2) for each
+# family; "a.cnf" is (x1 | -x2)(x2 | x3)(-x1 | -x3)(-x3).
+ENCODE_BYTES = [
+    (["prf", "--m", "3", "--n", "2", "--k", "2"], "767905d1eaa2b41b", "530cfe9e06d69c3f"),
+    (["prf", "--m", "4", "--cnf", "a.cnf"], "04ea9eda3bbf8056", "91373904937cbc61"),
+    (["sat", "--n", "3", "--k", "4"], "45e77b61dfc5a8cd", "34d5687fa85f0726"),
+    (["rfn", "--m", "2", "--n", "2", "--k", "2"], "a9dd2a42c08b60dc", "0fec71f2933b9002"),
+    (["rfn", "--m", "3", "--n", "3", "--k", "3"], "2032d36e292e7870", "225d24c2b8adaf75"),
+    (["lrfn", "--m", "4", "--cnf", "a.cnf"], "e2ee00192423530e", "9d27f470ab3252b5"),
+    (["con", "--m", "3", "--n", "2"], "5bc0774a534a5862", "6ab1d102e68b4f7c"),
+    (["am", "--cnf", "a.cnf", "--p", "s"], "8628bc4b98160118", "1e59365d46bd4995"),
+    (["php", "--pigeons", "3", "--holes", "2"], "66dc4a4c38ac63a4", "3f8f32a134b4f7ad"),
+    (["clique-color", "--k", "2", "--vertices", "3", "--out2", "out2"], "7db622d284fb24d1", "f7371abb7cb4adea"),
+    (["strongly-friendly", "--n", "1"], "44347723bb51c703", "9a9e277f1963b27d"),
+]
+
+
+@pytest.mark.parametrize("argv,out_hash,map_hash", ENCODE_BYTES)
+def test_encode_bytes_are_pinned(tmp_path, monkeypatch, argv, out_hash, map_hash):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a.cnf").write_text("p cnf 3 4\n1 -2 0\n2 3 0\n-1 -3 0\n-3 0\n")
+    assert main(["encode"] + argv + ["--out", "out", "--map", "map"]) == 0
+    digest = lambda name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()[:16]
+    assert (digest("out"), digest("map")) == (out_hash, map_hash)
+    if argv[0] == "clique-color":
+        assert digest("out2") == "e1f5aee256dc3495"
 
 
 def test_encode_to_stdout(capsys):
@@ -274,57 +300,6 @@ def test_internal_error_is_exit_three(monkeypatch, capsys, name, error, args):
     assert err == f"internal error: {error}\n"
 
 
-# ---------------------------------------------------------------------------
-# external solvers
-
-
-def _script(tmp_path, name, body):
-    path = tmp_path / name
-    path.write_text(f"#!/bin/sh\n{body}\n")
-    os.chmod(path, 0o755)
-    return str(path)
-
-
-def test_solver_answer_verifies_models(tmp_path):
-    f = cnf(2, [[1], [-2]])
-    plain = _script(tmp_path, "plain", 'echo "SAT"; echo "1 -2 0"')
-    styled = _script(tmp_path, "styled", 'echo "s SATISFIABLE"; echo "v 1 -2 0"')
-    assert solver_answer(plain, f) == ("sat", (1, 0))
-    assert solver_answer(styled, f) == ("sat", (1, 0))
-
-
-def test_solver_answer_rejects_lying_model(tmp_path):
-    f = cnf(2, [[1], [-2]])
-    liar = _script(tmp_path, "liar", 'echo "SAT"; echo "1 2 0"')
-    assert solver_answer(liar, f) == ("unknown", "claimed model fails verification")
-
-
-def test_solver_answer_unsat_is_advisory(tmp_path):
-    f = cnf(1, [[1], [-1]])
-    for body in ('echo "UNSAT"', 'echo "s UNSATISFIABLE"'):
-        sol = _script(tmp_path, "u", body)
-        assert solver_answer(sol, f) == ("unsat-advisory",)
-    # and unsatisfiable always checks before the SAT substring it contains
-    assert solver_answer(_script(tmp_path, "u", 'echo "UNSATISFIABLE"'), f) == (
-        "unsat-advisory",
-    )
-
-
-def test_solver_answer_handles_missing_and_silent_solvers(tmp_path):
-    f = cnf(1, [[1]])
-    assert solver_answer(str(tmp_path / "absent"), f)[0] == "unknown"
-    silent = _script(tmp_path, "silent", "true")
-    assert solver_answer(silent, f) == ("unknown", "no verdict line in solver output")
-
-
-def test_classify_falls_back_on_bad_external_answer(tmp_path):
-    f = cnf(2, [[1], [-2]])
-    liar = _script(tmp_path, "liar", 'echo "SAT"; echo "-1 2 0"')
-    verdict = _classify(f, liar)
-    assert verdict[0] == "sat"
-    assert verdict[1] == (1, 0)  # the internal search's model, not the liar's
-
-
 def test_exhausted_search_is_resampled(monkeypatch):
     # An exhausted search is no verdict: the CNF is drawn again rather than
     # counted as unsatisfiable.
@@ -336,9 +311,7 @@ def test_exhausted_search_is_resampled(monkeypatch):
         return ("exhausted",) if len(calls) == 1 else real(f, *a)
 
     monkeypatch.setattr(cli, "dpll_sat", once_exhausted)
-    assert _classify(cnf(1, [[1], [-1]]), None) == ("exhausted", None)
-    calls.clear()
     rng = random.Random(5)
-    f, note = _sample_with_status(rng, "unsat", 3, 6, None)
-    assert note is None and real(f) == ("unsat",)
+    (f,) = _sample_with_status(rng, "unsat", 3, 6)
+    assert real(f) == ("unsat",)
     assert len(calls) >= 2 and calls[-1] is f and calls[0] is not f

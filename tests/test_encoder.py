@@ -25,6 +25,7 @@ from proofbench.encoder import (
     PolyBudget,
     PrfLayout,
     am_reduce,
+    block_names,
     build_clique_color,
     build_con,
     build_lrfn,
@@ -73,6 +74,31 @@ def test_layout_map_covers_every_variable_once():
     names = [line.split()[1] for line in lines]
     assert len(set(names)) == len(names)
     assert names[0] == "y[e=0,i=1,j=1]" and names[4] == "ax[j=1]"
+
+
+def test_every_index_lands_on_its_own_name():
+    for m, n, k, symbolic in itertools.product((1, 2, 3), (1, 2), (0, 1, 2), (False, True)):
+        lay = PrfLayout(m, n, k, symbolic)
+        names = [None] + list(lay.names()) + list(block_names("z", n))
+        hits = {}
+        for j in range(1, m + 1):
+            hits[lay.ax(j)] = f"ax[j={j}]"
+            for i in range(1, n + 1):
+                hits[lay.piv(i, j)] = f"piv[i={i},j={j}]"
+                for e in (0, 1):
+                    hits[lay.y(e, i, j)] = f"y[e={e},i={i},j={j}]"
+            for l in range(1, k + 1):
+                hits[lay.s(l, j)] = f"s[l={l},j={j}]"
+            for jp in range(1, j):
+                hits[lay.L(jp, j)] = f"L[j'={jp},j={j}]"
+                hits[lay.R(jp, j)] = f"R[j'={jp},j={j}]"
+        for i in range(1, n + 1):
+            hits[lay.z(i)] = f"z[{i}]"
+            for e, l in itertools.product((0, 1), range(1, k + 1)):
+                if symbolic:
+                    hits[lay.code(e, i, l)] = f"c[e={e},i={i},l={l}]"
+        assert sorted(hits) == list(range(1, len(names)))
+        assert all(names[v] == name for v, name in hits.items())
 
 
 # ---------------------------------------------------------------------------
