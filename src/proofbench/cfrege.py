@@ -396,7 +396,6 @@ class _Writer:
 
     def taut(self, node: int) -> int:
         """Any circuit whose canonical form is constant true."""
-        assert self.ct.canon(node) == self.ct.TRUE, "not a canonical tautology"
         return self.canon_as(self.true_line, node)
 
 
@@ -513,8 +512,6 @@ class _Gamma:
         npivot = self.b.not_(pivot)
         a_parts = [p for p in g1[1] if ct.canon(p) != pc]
         b_parts = [p for p in g2[1] if ct.canon(p) != ct.mk_not(pc)]
-        assert len(a_parts) < len(g1[1]), "pivot missing from first clause"
-        assert len(b_parts) < len(g2[1]), "negated pivot missing from second clause"
         da = self.or_node(a_parts)
         db = self.or_node(b_parts)
         c = self.b.or_(da, db)
@@ -845,10 +842,8 @@ def cf_prove_rfn_res(m: int, n: int, k: int, check: bool = True) -> CfProof:
 
     acc = s_clauses[top]
     if acc[1]:
-        assert top == m
         for i in range(1, n + 1):
             acc = g.res(acc, el_refute(i), el(i, m))
-    assert not acc[1], "derivation did not reach the empty clause"
     bottom_line = w.canon_as(acc[0], g.j(b.const(0)))
     return _export(w, g, prf, sat, bottom_line, m, n, k, check)
 
@@ -875,8 +870,8 @@ def _export(
     final_node = b.imp(prf, b.not_(sat))
     w.emit(final_node, ("canon", under), dedup=False)
     proof = CfProof(w.arena, tuple(w.lines))
-    assert proof.last_node == final_node
-    assert proof.last_circuit() == build_rfn(m, n, k), "final circuit is not the reflection target"
+    if proof.last_circuit() != build_rfn(m, n, k):
+        raise RuntimeError("final circuit is not the reflection target")
     return _checked(proof, "reflection") if check else proof
 
 
@@ -906,7 +901,6 @@ def cf_prove_sat_equiv(f: Cnf | Circuit) -> CfProof:
     bwd = b.imp(satc, inlined)
     # the two sides canonize identically, so p | q collapses to p and each
     # direction is canonically an instance of p -> (p | q)
-    assert w.ct.canon(inlined) == w.ct.canon(satc)
     l_fwd = w.emit(fwd, ("schema", 6, (inlined, satc)), dedup=False)
     l_bwd = w.emit(bwd, ("schema", 6, (satc, inlined)), dedup=False)
     s6 = w.emit(
@@ -915,7 +909,6 @@ def cf_prove_sat_equiv(f: Cnf | Circuit) -> CfProof:
     step = w.emit(b.imp(bwd, b.and_(fwd, bwd)), ("mp", s6, l_fwd), dedup=False)
     w.emit(b.and_(fwd, bwd), ("mp", step, l_bwd), dedup=False)
     proof = CfProof(w.arena, tuple(w.lines))
-    assert len(proof) == 6
     return _checked(proof, "satisfaction-equivalence")
 
 
@@ -1055,7 +1048,8 @@ def cf_explode(
     lines.append((arena.imp(sub.last_node, bnode), ("canon", len(lines) - 1)))
     lines.append((bnode, ("mp", len(lines) - 1, len(sub.lines) - 1)))
     out = CfProof(arena, tuple(lines))
-    assert out.last_circuit() == beta
+    if out.last_circuit() != beta:
+        raise RuntimeError("exploded proof does not end in beta")
     return _checked(out, "exploded", extensions)
 
 
@@ -1092,6 +1086,7 @@ def lrfn_from_rfn(proof: CfProof, f: Cnf) -> CfProof:
     lines = list(sub.lines)
     lines.append((tnode, ("canon", len(lines) - 1)))
     out = CfProof(sub.arena, tuple(lines))
-    assert out.last_circuit() == target
+    if out.last_circuit() != target:
+        raise RuntimeError("localized proof does not end in the local-reflection circuit")
     return _checked(out, "localized")
 

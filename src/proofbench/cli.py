@@ -129,13 +129,13 @@ def _need(args: argparse.Namespace, *names: str) -> list[int]:
 
 def fit_degree(xs: list[float], ys: list[float]) -> float:
     """Least-squares slope of log ys against log xs (a degree estimate)."""
-    assert len(xs) == len(ys) and len(xs) >= 2
+    if len(set(xs)) < 2:
+        raise ValueError("degree fit needs at least two distinct x values")
     lx = [math.log(x) for x in xs]
     ly = [math.log(max(y, 1)) for y in ys]
     mx = sum(lx) / len(lx)
     my = sum(ly) / len(ly)
     den = sum((a - mx) ** 2 for a in lx)
-    assert den > 0, "degree fit needs at least two distinct x values"
     return sum((a - mx) * (b - my) for a, b in zip(lx, ly)) / den
 
 

@@ -36,7 +36,8 @@ class Cnf:
     clauses: tuple[frozenset[int], ...]
 
     def __post_init__(self) -> None:
-        assert self.n >= 0
+        if self.n < 0:
+            raise ValueError(f"negative variable count {self.n}")
         for cl in self.clauses:
             for lit in cl:
                 if lit == 0 or abs(lit) > self.n:
@@ -112,7 +113,8 @@ def shift_cnf(f: Cnf, offset: int, n: int) -> Cnf:
 
 def code_pos(e: int, i: int, l: int, n: int, k: int) -> int:
     """Position of bit (e, i, l) in the flattened 2 x n x k code."""
-    assert e in (0, 1) and 1 <= i <= n and 1 <= l <= k
+    if not (e in (0, 1) and 1 <= i <= n and 1 <= l <= k):
+        raise ValueError(f"code bit {(e, i, l)} out of range for n={n}, k={k}")
     return e * n * k + (i - 1) * k + (l - 1)
 
 
@@ -239,6 +241,8 @@ class Circuit:
     gates: tuple[Gate, ...]
 
     def __post_init__(self) -> None:
+        if self.n_vars < 0:
+            raise ValueError(f"negative input count {self.n_vars}")
         if not self.gates:
             raise ValueError("empty circuit")
         for idx, g in enumerate(self.gates):
@@ -312,7 +316,8 @@ class CircuitBuilder:
     """
 
     def __init__(self, n_vars: int):
-        assert n_vars >= 0
+        if n_vars < 0:
+            raise ValueError(f"negative input count {n_vars}")
         self.n_vars = n_vars
         self.nodes: list[Gate] = []
         self._memo: dict[Gate, int] = {}

@@ -99,7 +99,8 @@ class PrfLayout:
     symbolic: bool = False
 
     def __post_init__(self) -> None:
-        assert self.m >= 1 and self.n >= 0 and self.k >= 0
+        if not (self.m >= 1 and self.n >= 0 and self.k >= 0):
+            raise ValueError(f"prf layout needs m >= 1, n, k >= 0; got {(self.m, self.n, self.k)}")
 
     @property
     def vars_proof(self) -> int:
@@ -112,39 +113,47 @@ class PrfLayout:
         return self.vars_proof + (2 * self.n * self.k if self.symbolic else 0)
 
     def y(self, e: int, i: int, j: int) -> int:
-        assert e in (0, 1) and 1 <= i <= self.n and 1 <= j <= self.m
+        if not (e in (0, 1) and 1 <= i <= self.n and 1 <= j <= self.m):
+            raise ValueError(f"y{(e, i, j)} out of range")
         return (j - 1) * 2 * self.n + 2 * (i - 1) + e + 1
 
     def ax(self, j: int) -> int:
-        assert 1 <= j <= self.m
+        if not 1 <= j <= self.m:
+            raise ValueError(f"ax({j}) out of range")
         return 2 * self.n * self.m + j
 
     def s(self, l: int, j: int) -> int:
-        assert 1 <= l <= self.k and 1 <= j <= self.m
+        if not (1 <= l <= self.k and 1 <= j <= self.m):
+            raise ValueError(f"s{(l, j)} out of range")
         return 2 * self.n * self.m + self.m + (j - 1) * self.k + l
 
     def piv(self, i: int, j: int) -> int:
-        assert 1 <= i <= self.n and 1 <= j <= self.m
+        if not (1 <= i <= self.n and 1 <= j <= self.m):
+            raise ValueError(f"piv{(i, j)} out of range")
         return self.m * (2 * self.n + 1 + self.k) + (j - 1) * self.n + i
 
     def _arc_base(self) -> int:
         return self.m * (3 * self.n + 1 + self.k)
 
     def L(self, jp: int, j: int) -> int:
-        assert 2 <= j <= self.m and 1 <= jp < j
+        if not (2 <= j <= self.m and 1 <= jp < j):
+            raise ValueError(f"L{(jp, j)} out of range")
         return self._arc_base() + (j - 2) * (j - 1) // 2 + jp
 
     def R(self, jp: int, j: int) -> int:
-        assert 2 <= j <= self.m and 1 <= jp < j
+        if not (2 <= j <= self.m and 1 <= jp < j):
+            raise ValueError(f"R{(jp, j)} out of range")
         return self._arc_base() + self.m * (self.m - 1) // 2 + (j - 2) * (j - 1) // 2 + jp
 
     def code(self, e: int, i: int, l: int) -> int:
-        assert self.symbolic, "instantiated layout has no code inputs"
+        if not self.symbolic:
+            raise ValueError("instantiated layout has no code inputs")
         return self.vars_proof + code_pos(e, i, l, self.n, self.k) + 1
 
     def z(self, i: int) -> int:
         """Input ``i`` of the assignment that follows the layout."""
-        assert 1 <= i <= self.n
+        if not 1 <= i <= self.n:
+            raise ValueError(f"z({i}) out of range")
         return self.total_vars + i
 
     def names(self) -> Iterator[str]:
@@ -312,7 +321,6 @@ def decode_prf_assignment(artifact: EncodingArtifact, bits: Sequence[int]) -> Re
     lay = artifact.layout
     if lay.symbolic:
         raise ValueError("cannot decode against a symbolic artifact")
-    assert artifact.code is not None
     if len(bits) != lay.total_vars:
         raise ValueError(f"expected {lay.total_vars} bits, got {len(bits)}")
     target = decode_cnf(artifact.code, strict=False)
@@ -487,7 +495,8 @@ def am_reduce(f: Cnf, budget: PolyBudget = DEFAULT_BUDGET) -> EncodingArtifact:
 def build_php(pigeons: int, holes: int) -> Cnf:
     """Pigeonhole: every pigeon sits somewhere, no hole holds two.
     Variable ``(i-1)*holes + j`` places pigeon i in hole j."""
-    assert pigeons >= 1 and holes >= 0
+    if not (pigeons >= 1 and holes >= 0):
+        raise ValueError(f"php needs pigeons >= 1 and holes >= 0; got {pigeons}, {holes}")
     p = lambda i, j: (i - 1) * holes + j
     clauses = []
     for i in range(1, pigeons + 1):
@@ -507,7 +516,8 @@ def build_clique_color(k: int, vertices: int) -> tuple[Cnf, Cnf, dict[tuple[int,
     disjoint witness blocks, and are jointly unsatisfiable.  Returns both
     CNFs and the edge-variable map.
     """
-    assert k >= 1 and vertices >= 1
+    if not (k >= 1 and vertices >= 1):
+        raise ValueError(f"clique-color needs k >= 1 and vertices >= 1; got {k}, {vertices}")
     edge: dict[tuple[int, int], int] = {}
     for u in range(1, vertices + 1):
         for v in range(u + 1, vertices + 1):

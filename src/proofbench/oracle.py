@@ -382,24 +382,24 @@ def clausify_circuit(c: Circuit) -> tuple[Cnf, dict[int, int]]:
 def min_refutation_length(
     f: Cnf,
     max_lines: int,
-    mode: str = "weakening",
     budget: SearchBudget = DEFAULT_BUDGET,
 ):
     """Exact minimal refutation length by iterative deepening.
 
     Returns one of::
 
-        ('found', length, proof)      shortest refutation, valid in ``mode``
+        ('found', length, proof)      shortest refutation, strictly valid
         ('none-up-to', max_lines)     certified: nothing of that length exists
         ('satisfiable', model)        no refutation of any length exists
         ('exhausted',)                search budget hit before an answer
 
-    The minimum does not depend on ``mode``: any weakening refutation can be
-    shrunk line-by-line (replace each clause by the subset actually forced
-    by its justification, then deduplicate), giving a refutation of equal or
-    smaller length in which every line is an exact axiom or exact resolvent.
-    The search therefore runs over that tight space only, and its witness
-    checks in both modes.
+    The minimum is the same for weakening refutations: any weakening
+    refutation can be shrunk line-by-line (replace each clause by the subset
+    actually forced by its justification, then deduplicate), giving a
+    refutation of equal or smaller length in which every line is an exact
+    axiom or exact resolvent.  The search therefore runs over that tight
+    space only, and its witness checks in strict mode, so in weakening mode
+    too.
 
     Search-space prunes.  Below, a *minimal* refutation is a tight one of
     the least length ``L``; its clauses are pairwise distinct, and every
@@ -461,8 +461,6 @@ def min_refutation_length(
         return ("satisfiable", sat[1])
     if sat[0] == "exhausted":
         return ("exhausted",)
-    if mode not in ("strict", "weakening"):
-        raise ValueError(f"unknown mode {mode!r}")
 
     if frozenset() in f.clauses:
         # Empty clause is an input: one-line refutation (if budget allows).
@@ -577,9 +575,8 @@ def min_refutation_length(
             if len(derived) != limit:
                 raise RuntimeError("shorter refutation missed earlier")
             proof = ResolutionProof(f, tuple(zip(map(unpack, derived), justs)))
-            for m in ("strict", "weakening"):
-                rep = check_refutation(f, proof, mode=m)
-                if not rep.ok:
-                    raise RuntimeError(f"minimal witness fails {m} check: {rep.reason}")
+            rep = check_refutation(f, proof, mode="strict")
+            if not rep.ok:
+                raise RuntimeError(f"minimal witness fails strict check: {rep.reason}")
             return ("found", limit, proof)
     return ("none-up-to", max_lines)

@@ -4,10 +4,12 @@ subcommands' exit codes and outputs, the bytes of every encoded family, and
 report determinism.
 """
 
+import ast
 import hashlib
 import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -47,6 +49,8 @@ def test_fit_degree_recovers_exponents():
     assert math.isclose(fit_degree(xs, [x**2 for x in xs]), 2.0)
     assert math.isclose(fit_degree(xs, [5 * x for x in xs]), 1.0)
     assert fit_degree(xs, [0, 0, 0, 0]) == 0.0  # zero-safe
+    with pytest.raises(ValueError, match="distinct"):
+        fit_degree([8.0, 8.0, 8.0], [1, 2, 3])
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +158,36 @@ def test_encode_rejects_mismatched_dimensions(tmp_path, capsys):
     )
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["encode", "prf", "--m", "0", "--n", "1", "--k", "1", "--out", "OUT"],
+        ["encode", "php", "--pigeons", "0", "--holes", "1", "--out", "OUT"],
+        ["encode", "clique-color", "--k", "0", "--vertices", "2", "--out", "OUT", "--out2", "OUT"],
+        ["encode", "con", "--m", "1", "--n", "-1", "--out", "OUT"],
+        ["experiment", "lrfn-nontaut", "--count", "1", "--m", "8,8", "--n", "2", "--k", "2"],
+    ],
+)
+def test_bad_parameter_is_exit_two(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert main([str(out) if a == "OUT" else a for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_package_has_no_assert():
+    # python -O strips assert statements, so every guard must raise
+    pkg = Path(cli.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(pkg.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import proofbench.proofgen as proofgen
 from proofbench.cfrege import CfProof, cf_check, cf_prove_rfn_res, instantiate_extension
@@ -39,7 +39,7 @@ from proofbench.core import (
     shift_cnf,
 )
 from proofbench.proofgen import refute_prf_nontaut
-from proofbench.resolution import ResolutionProof, check_refutation
+from proofbench.resolution import ResolutionProof, check_refutation, parse_proof
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +315,61 @@ def test_builder_rejects_out_of_range_var():
     b = CircuitBuilder(1)
     with pytest.raises(ValueError):
         b.var(2)
+
+
+def test_negative_input_count_is_a_value_error():
+    with pytest.raises(ValueError):
+        parse_gates("inputs -3\ng0 := const 1\nout g0\n")
+    for make, args in ((Circuit, (-1, (("const", 1),))), (CircuitBuilder, (-1,)), (Cnf, (-1, ()))):
+        with pytest.raises(ValueError):
+            make(*args)
+
+
+# ---------------------------------------------------------------------------
+# malformed text
+
+PROOF_TARGET = cnf(2, [[1, 2], [-2], [-1]])
+
+
+def _parse_and_check_proof(text):
+    proof = parse_proof(text, PROOF_TARGET)
+    for mode in ("strict", "weakening"):
+        check_refutation(PROOF_TARGET, proof, mode=mode)
+
+
+# Valid texts for the mutations below to start from, with their readers.
+VALID_TEXTS = [
+    (parse_dimacs, "c three clauses\np cnf 3 3\n1 -2 0\n2 3 0\n-1 -3 0\n"),
+    (parse_gates, "inputs 2\ng0 := var 1\ng1 := var 2\ng2 := and g0 g1\ng3 := not g2\n"
+                  "g4 := imp g3 g0\nout g4\n"),
+    (_parse_and_check_proof, "A 0\nA 1\nR 0 1 2 : 1\nA 2 : -1 2\nR 2 3 1 : 2\n"),
+]
+TOKENS = st.sampled_from(
+    [" ", "\n", "\t", "0", "-", "1", "-3", "9" * 20, "1.5", "p", "cnf", "c", "g", "g-1", "g9",
+     ":=", ":", "A", "R", "inputs", "out", "var", "not", "const", "x", "\u00e9", "\u0663"]
+)
+
+
+@st.composite
+def mutated_texts(draw):
+    read, text = draw(st.sampled_from(VALID_TEXTS))
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(text)))
+        j = draw(st.integers(i, min(len(text), i + 6)))
+        text = text[:i] + draw(st.one_of(st.just(""), TOKENS)) + text[j:]
+    return read, text
+
+
+@settings(deadline=None, max_examples=500)
+@given(mutated_texts())
+def test_malformed_text_is_a_value_error(case):
+    # DIMACS, gate-list and proof readers return or raise ValueError, and a
+    # proof that reads is checked to a report: never another exception
+    read, text = case
+    try:
+        read(text)
+    except ValueError:
+        pass
 
 
 # ---------------------------------------------------------------------------

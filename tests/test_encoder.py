@@ -101,6 +101,22 @@ def test_every_index_lands_on_its_own_name():
         assert all(names[v] == name for v, name in hits.items())
 
 
+def test_out_of_range_index_is_a_value_error():
+    # a raise, not an assert: under python -O, y(0, 5, 9) on this
+    # 20-variable layout would otherwise return 41
+    lay, sym = PrfLayout(2, 2, 2), PrfLayout(2, 2, 2, symbolic=True)
+    calls = [
+        (lay.y, 0, 5, 9), (lay.y, 2, 1, 1), (lay.ax, 0), (lay.ax, 3),
+        (lay.s, 3, 1), (lay.s, 1, 0), (lay.piv, 0, 1), (lay.piv, 1, 3),
+        (lay.L, 2, 2), (lay.L, 1, 3), (lay.R, 0, 2), (lay.R, 1, 1),
+        (lay.code, 0, 1, 1), (sym.code, 0, 3, 1), (lay.z, 0), (lay.z, 3),
+        (PrfLayout, 0, 1, 1), (PrfLayout, 1, -1, 0), (PrfLayout, 1, 1, -1),
+    ]
+    for f, *args in calls:
+        with pytest.raises(ValueError):
+            f(*args)
+
+
 # ---------------------------------------------------------------------------
 # sat
 

@@ -144,8 +144,9 @@ NON_LITERALS = st.one_of(
     st.floats().filter(lambda v: abs(v) != 1),
     st.none(),
 )
-# Anything but a (frozenset, justification) pair, and weakenings that add a
-# non-literal to a download of PAIR.
+# Anything but a (frozenset, justification) pair, weakenings that add a
+# non-literal to a download of PAIR, and downloads that spell the literal 1
+# as a value equal to it but of another type.
 MALFORMED_LINES = st.one_of(
     JUST_ATOMS,
     st.lists(JUST_ARGS, max_size=3),
@@ -162,6 +163,7 @@ MALFORMED_LINES = st.one_of(
     st.tuples(
         st.frozensets(NON_LITERALS, min_size=1).map(lambda c: c | {1}), st.just(("A", 0))
     ),
+    st.tuples(st.sampled_from([frozenset({True}), frozenset({1.0})]), st.just(("A", 0))),
 )
 
 
@@ -279,6 +281,18 @@ def test_split_both_unsat_still_valid():
     side, out = split_disjoint_refutation(a, b, dpll_refute(joined))
     target = a if side == "A" else b
     assert check_refutation(target, out, mode="weakening").ok
+
+
+def test_split_with_a_clause_free_side():
+    # a side without clauses mentions no variable: the empty restriction
+    # checks the proof and keeps it line for line
+    pair = cnf(1, [[1], [-1]])
+    for a0, b0, want in ((cnf(0, []), pair, "B"), (pair, cnf(0, []), "A")):
+        a, b, joined = join_disjoint(a0, b0)
+        proof = dpll_refute(joined)
+        side, out = split_disjoint_refutation(a, b, proof)
+        assert side == want and out.target == (a if want == "A" else b)
+        assert out.lines == proof.lines
 
 
 def test_split_rejects_shared_variables():
