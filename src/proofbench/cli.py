@@ -381,6 +381,9 @@ class ExperimentReport:
 
 def _exp_lrfn_nontaut(args: argparse.Namespace) -> tuple[dict, list, dict, bool]:
     ms = [int(x) for x in str(args.m).split(",")]
+    if len(ms) >= 2 and len(set(ms)) < 2:
+        # the degree fit needs two distinct points; say so before any work
+        raise UsageError("--m ladder needs at least two distinct values")
     params = {"count": args.count, "n": args.n, "k": args.k, "m": ms, "seed": args.seed}
     rng = random.Random(args.seed)
     instances = [

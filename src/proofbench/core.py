@@ -25,6 +25,49 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 
 # ---------------------------------------------------------------------------
+# Shared helpers
+
+
+def nogc(fn: Callable) -> Callable:
+    """Run ``fn`` with the cyclic garbage collector paused.
+
+    Safe wherever what ``fn`` builds forms no reference cycles, so that
+    plain reference counting frees everything it drops:
+
+    * the proof generators and checkers, whose arenas, forms and proof
+      lines are tuples of ints, dicts and lists;
+    * the text layer (:func:`parse_dimacs`, :func:`emit_dimacs`, the
+      resolution proof reader and printer) and the ``prf`` encoder, which
+      build frozensets and tuples of ints, lists and strings.
+
+    It pays because each of them allocates hundreds of thousands of such
+    objects, and with the collector running those allocations trigger
+    collections that walk every tracked object still alive.  Each call
+    restores the state it found, so nesting is safe.
+    """
+
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+
+    return paused
+
+
+def sorted_literals(cl: Iterable[int]) -> list[int]:
+    """The literals of ``cl`` by variable, the negative literal first on a
+    tie: the order of every clause the text formats and circuits spell out.
+    The inner sort puts ``-x`` before ``x`` and the stable outer sort keeps
+    it there, with no Python-level key call."""
+    return sorted(sorted(cl), key=abs)
+
+
+# ---------------------------------------------------------------------------
 # CNFs
 
 
@@ -377,7 +420,7 @@ class CircuitBuilder:
         return self._fold(self.and_, items, 1)
 
     def clause_circuit(self, cl: frozenset[int]) -> int:
-        return self.or_many([self.lit(l) for l in sorted(cl, key=lambda x: (abs(x), x))])
+        return self.or_many([self.lit(l) for l in sorted_literals(cl)])
 
     def cnf_circuit(self, f: Cnf) -> int:
         return self.and_many([self.clause_circuit(cl) for cl in f.clauses])
@@ -424,6 +467,7 @@ def cnf_to_circuit(f: Cnf) -> Circuit:
 # DIMACS
 
 
+@nogc
 def parse_dimacs(text: str) -> Cnf:
     """Parse standard DIMACS CNF (``c`` comments allowed, one header line)."""
     n = k = None
@@ -469,6 +513,7 @@ def parse_dimacs(text: str) -> Cnf:
     return Cnf(n, tuple(clauses))
 
 
+@nogc
 def emit_dimacs(f: Cnf) -> str:
     """Canonical emission: ascending variable order inside each clause
     (negative literal first on a tie), original clause order, no comments.
@@ -476,8 +521,7 @@ def emit_dimacs(f: Cnf) -> str:
     """
     lines = [f"p cnf {f.n} {f.k}"]
     for cl in f.clauses:
-        lits = sorted(cl, key=lambda x: (abs(x), x))
-        lines.append(" ".join(str(l) for l in lits + [0]))
+        lines.append(" ".join(map(str, sorted_literals(cl) + [0])))
     return "\n".join(lines) + "\n"
 
 
@@ -570,32 +614,3 @@ def parse_gates(text: str) -> Circuit:
         b = CircuitBuilder(n_vars)
         return b.build(b.copy(gates, range(len(gates)))[out])
     return Circuit(n_vars, tuple(gates))
-
-
-# ---------------------------------------------------------------------------
-# Proof kernels
-
-
-def nogc(fn: Callable) -> Callable:
-    """Run ``fn`` with the cyclic garbage collector paused.
-
-    Safe for the proof generators and checkers: their arenas, forms and
-    proof lines are tuples of ints, dicts and lists that form no reference
-    cycles, so plain reference counting frees everything they drop.  It
-    pays because the collector untracks those tuples: few tracked objects
-    survive, its full collections are not held back, and each one walks
-    the whole arena.  Each call restores the state it found, so nesting
-    is safe.
-    """
-
-    @functools.wraps(fn)
-    def paused(*args, **kwargs):
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            if enabled:
-                gc.enable()
-
-    return paused

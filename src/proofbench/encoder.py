@@ -45,6 +45,7 @@ from .core import (
     code_pos,
     emit_dimacs,
     encode_cnf,
+    nogc,
     shift_cnf,
 )
 from .resolution import ResolutionProof
@@ -268,6 +269,7 @@ class EncodingArtifact:
     clause_index: dict = field(compare=False, default_factory=dict)
 
 
+@nogc
 def build_prf(m: int, n: int, k: int, code: CnfCode | None = None) -> EncodingArtifact:
     """The refutation-existence CNF (see module docstring).
 

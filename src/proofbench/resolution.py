@@ -16,9 +16,10 @@ be a superset.  A refutation must end in the empty clause.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
-from .core import Cnf, nogc, restrict_clause, restrict_cnf, shift_cnf
+from .core import Cnf, nogc, restrict_clause, restrict_cnf, shift_cnf, sorted_literals
 
 
 Justification = tuple
@@ -33,6 +34,12 @@ class ResolutionProof:
     def __len__(self) -> int:
         return len(self.lines)
 
+    @cached_property
+    def _text(self) -> str:
+        # The proof is immutable, so its text is printed at most once; the
+        # cached value lives in the instance dict, outside the fields.
+        return _print_proof(self)
+
     def bit_size(self) -> int:
         """Serialized length in bytes; the size measure used in reports."""
         return len(emit_proof(self).encode())
@@ -44,8 +51,10 @@ class CheckReport:
 
     ``step`` and ``reason`` locate the first failure; ``lines`` and
     ``bit_size`` describe the proof itself so callers can log sizes without
-    re-serializing.  A failing report has ``bit_size`` 0: a proof that does
-    not check may have no text form at all.
+    re-serializing.  ``bit_size`` is read off the proof's one memoized
+    printing, so a later :func:`emit_proof` of the same proof prints
+    nothing.  A failing report has ``bit_size`` 0: a proof that does not
+    check may have no text form at all.
     """
 
     ok: bool
@@ -273,21 +282,29 @@ def emit_proof(proof: ResolutionProof) -> str:
     clause weakens the download; ``R <j1> <j2> <pivot> : <lits>`` for
     resolution lines (the clause is always spelled out so weakening steps
     round-trip).  Literals are sorted by variable with the negative literal
-    first on ties.
+    first on ties.  Each proof object is printed once; later calls return
+    the same string.
     """
+    return proof._text
+
+
+@nogc
+def _print_proof(proof: ResolutionProof) -> str:
     out = []
+    axioms = proof.target.clauses
     for clause, just in proof.lines:
-        lits = " ".join(str(l) for l in sorted(clause, key=lambda x: (abs(x), x)))
+        if just[0] == "A" and clause == axioms[just[1]]:
+            out.append(f"A {just[1]}")
+            continue
+        lits = " ".join(map(str, sorted_literals(clause)))
         if just[0] == "A":
-            if clause == proof.target.clauses[just[1]]:
-                out.append(f"A {just[1]}")
-            else:
-                out.append(f"A {just[1]} : {lits}".rstrip())
+            out.append(f"A {just[1]} : {lits}".rstrip())
         else:
             out.append(f"R {just[1]} {just[2]} {just[3]} : {lits}".rstrip())
     return "\n".join(out) + "\n"
 
 
+@nogc
 def parse_proof(text: str, target: Cnf) -> ResolutionProof:
     def read_ints(toks: list[str], lineno: int) -> list[int]:
         try:

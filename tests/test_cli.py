@@ -178,6 +178,17 @@ def test_bad_parameter_is_exit_two(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+def test_lrfn_ladder_is_checked_before_any_work(monkeypatch, capsys):
+    def reached(*args, **kwargs):
+        raise AssertionError("sampled or ran tasks before the ladder was checked")
+
+    monkeypatch.setattr(cli, "_sample_with_status", reached)
+    monkeypatch.setattr(cli, "_run_tasks", reached)
+    argv = ["experiment", "lrfn-nontaut", "--count", "50", "--m", "8,8", "--n", "2", "--k", "2"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: --m ladder needs at least two distinct values\n"
+
+
 def test_package_has_no_assert():
     # python -O strips assert statements, so every guard must raise
     pkg = Path(cli.__file__).parent

@@ -38,8 +38,9 @@ from proofbench.core import (
     restrict_cnf,
     shift_cnf,
 )
+from proofbench.encoder import build_prf
 from proofbench.proofgen import refute_prf_nontaut
-from proofbench.resolution import ResolutionProof, check_refutation, parse_proof
+from proofbench.resolution import ResolutionProof, check_refutation, emit_proof, parse_proof
 
 
 # ---------------------------------------------------------------------------
@@ -475,3 +476,55 @@ def test_checker_nested_in_the_generator_runs_paused(collector_state, monkeypatc
     gc.enable()
     assert len(refute_prf_nontaut(cnf(2, [[1, 2], [-1, 2]]), (0, 1), 3)) > 0
     assert seen == [False] and gc.isenabled()
+
+
+def _text_calls():
+    """(label, call) for each paused text-layer function, on a prf formula
+    and its refutation; the raising calls read malformed text."""
+    f = cnf(2, [[1, 2], [-1, 2]])
+    code = encode_cnf(f, strict=False)
+    proof = refute_prf_nontaut(f, (0, 1), 3)
+    g = proof.target
+    dimacs, text = emit_dimacs(g), emit_proof(proof)
+    return [
+        ("build_prf", lambda: build_prf(3, 2, 2, code)),
+        ("emit_dimacs", lambda: emit_dimacs(g)),
+        ("parse_dimacs", lambda: parse_dimacs(dimacs)),
+        ("parse_dimacs raising", lambda: parse_dimacs(dimacs + "1 x 0\n")),
+        # a fresh proof object, so that the printer runs
+        ("emit_proof", lambda: emit_proof(ResolutionProof(g, proof.lines))),
+        ("parse_proof", lambda: parse_proof(text, g)),
+        ("parse_proof raising", lambda: parse_proof(text + "R 0 0\n", g)),
+    ]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_text_layer_runs_paused_and_restores_the_collector(collector_state, enabled):
+    starts = []
+
+    def on_collect(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    threshold = gc.get_threshold()
+    gc.set_threshold(5, *threshold[1:])
+    try:
+        for label, call in _text_calls():
+            (gc.enable if enabled else gc.disable)()
+            starts.clear()
+            gc.callbacks.append(on_collect)
+            try:
+                if "raising" in label:
+                    with pytest.raises(ValueError):
+                        call()
+                else:
+                    call()
+            finally:
+                gc.callbacks.remove(on_collect)
+            assert gc.isenabled() == enabled, label
+            # The readers and the encoder keep hundreds of new containers,
+            # which would start a collection every five; paused, one can
+            # start only on the way in and one on the way out.
+            assert len(starts) <= 2, (label, len(starts))
+    finally:
+        gc.set_threshold(*threshold)

@@ -8,9 +8,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from proofbench.core import Cnf, cnf, eval_cnf, restrict_cnf
+import proofbench.resolution as resolution
+from proofbench.core import Cnf, cnf, emit_dimacs, eval_cnf, restrict_cnf
 from proofbench.encoder import build_php
 from proofbench.oracle import dpll_refute, dpll_sat
+from proofbench.proofgen import refute_prf_nontaut
 from proofbench.resolution import (
     ResolutionProof,
     check_refutation,
@@ -329,6 +331,52 @@ def test_weakened_axiom_line_grammar():
     f = cnf(2, [[1]])
     proof = parse_proof("A 0 : 1 2\n", f)
     assert proof.lines[0][0] == frozenset({1, 2})
+
+
+def test_each_proof_is_printed_once(monkeypatch):
+    printed = []
+    real = resolution._print_proof
+
+    def spy(proof):
+        printed.append(proof)
+        return real(proof)
+
+    monkeypatch.setattr(resolution, "_print_proof", spy)
+    proof = refute_prf_nontaut(cnf(2, [[1, 2], [-1, 2]]), (0, 1), 3)
+    rep = check_refutation(proof.target, proof, "weakening")
+    text = emit_proof(proof)
+    assert len(printed) == 1 and printed[0] is proof  # printed by the generator's own check
+    assert rep.ok and rep.bit_size == len(text.encode())
+    # A parsed-back proof is a new object, printed once more, to the same text.
+    back = parse_proof(text, proof.target)
+    assert emit_proof(back) == text and emit_proof(back) is emit_proof(back)
+    assert len(printed) == 2 and printed[1] is back
+
+
+def test_memoized_text_is_the_text_of_a_fresh_proof():
+    proof = refute_prf_nontaut(cnf(2, [[1, 2], [-1, 2]]), (0, 1), 3)
+    fresh = ResolutionProof(proof.target, proof.lines)
+    assert emit_proof(proof) is emit_proof(proof)
+    assert emit_proof(fresh) == emit_proof(proof)
+    assert fresh == proof and hash(fresh) == hash(proof)
+
+
+def test_a_variable_and_its_negation_print_negative_first():
+    # {3, -3, -1, 2}: by variable, and -x before x on a tie, in both formats
+    clause = frozenset({3, -3, -1, 2})
+    assert emit_dimacs(Cnf(3, (clause,))) == "p cnf 3 1\n-1 2 -3 3 0\n"
+    f = cnf(3, [[-1, 2], [1], [-2], [3], [-3]])
+    weak = ResolutionProof(
+        f,
+        (
+            (clause, ("A", 0)),
+            (frozenset({1}), ("A", 1)),
+            (frozenset({2, -3, 3}), ("R", 1, 0, 1)),
+        ),
+    )
+    assert check_refutation(f, weak, "weakening").step == 2  # not a refutation
+    assert emit_proof(weak) == "A 0 : -1 2 -3 3\nA 1\nR 1 0 1 : 2 -3 3\n"
+    assert parse_proof(emit_proof(weak), f).lines == weak.lines
 
 
 # ---------------------------------------------------------------------------
