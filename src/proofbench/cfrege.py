@@ -33,7 +33,6 @@ from .core import (
     Cnf,
     cone,
     encode_cnf,
-    eval_circuit,
     gate_text,
     nogc,
 )
@@ -249,13 +248,11 @@ class CfProof:
 
 
 @nogc
-def cf_check(
-    proof: CfProof, extensions: Sequence[Circuit] = (), measure_bits: bool = False
-) -> CheckReport:
+def cf_check(proof: CfProof, extensions: Sequence[Circuit] = ()) -> CheckReport:
     """Check every line on a fresh canonical-form table, so the verdict
     rests on the proof alone.  A malformed line gets a failing report,
-    never an exception.  ``bit_size`` is 0 unless ``measure_bits`` and the
-    proof checks."""
+    never an exception.  ``bit_size`` is 0: a proof's size is
+    ``len(cf_serialize(proof).encode())``."""
     arena = proof.arena
     nodes = arena.nodes
     ct = CanonTable(arena)
@@ -305,8 +302,7 @@ def cf_check(
                 return fail(t, "premise index out of range")
             if ct.canon(proof.lines[j][0]) != ct.canon(node):
                 return fail(t, "line is not a canonization of its premise")
-    size = len(cf_serialize(proof).encode()) if measure_bits else 0
-    return CheckReport(True, None, None, len(proof.lines), size)
+    return CheckReport(True, None, None, len(proof.lines), 0)
 
 
 def _checked(proof: CfProof, what: str, extensions: Sequence[Circuit] = ()) -> CfProof:
@@ -488,9 +484,6 @@ class _Gamma:
 
     # -- clause calculus -----------------------------------------------------
 
-    def or_node(self, parts: Sequence[int]) -> int:
-        return self.b.or_many(list(parts))
-
     def clause(self, line: int, parts: Sequence[int]) -> GClause:
         """Bundle a line with its disjuncts, deduplicated by form."""
         ct = self.w.ct
@@ -512,8 +505,8 @@ class _Gamma:
         npivot = self.b.not_(pivot)
         a_parts = [p for p in g1[1] if ct.canon(p) != pc]
         b_parts = [p for p in g2[1] if ct.canon(p) != ct.mk_not(pc)]
-        da = self.or_node(a_parts)
-        db = self.or_node(b_parts)
+        da = self.b.or_many(a_parts)
+        db = self.b.or_many(b_parts)
         c = self.b.or_(da, db)
         u1 = self.w.canon_as(g1[0], self.j(self.b.imp(npivot, da)))
         u2 = self.w.canon_as(g2[0], self.j(self.b.imp(pivot, db)))
@@ -539,8 +532,8 @@ class _Gamma:
                 new.append(p)
         if not new:
             return g
-        d = self.or_node(g[1])
-        e = self.or_node(new)
+        d = self.b.or_many(g[1])
+        e = self.b.or_many(new)
         c = self.b.or_(d, e)
         line = self.mp_ctx(
             self.lift(self.w.schema(6, d, e)), self.w.canon_as(g[0], self.j(d)), d, c
@@ -700,7 +693,7 @@ def cf_prove_rfn_res(m: int, n: int, k: int, check: bool = True) -> CfProof:
     # {!pick(i,l), !ax(j), !s(l,j), EL(i,j)}: a z-true coded literal of a
     # downloaded clause lands in the line's clause via the download rules.
     def pick_elim(i: int, l: int, j: int) -> GClause:
-        common = g.or_node([b.not_(b.var(lay.ax(j))), b.not_(b.var(lay.s(l, j))), el(i, j)])
+        common = b.or_many([b.not_(b.var(lay.ax(j))), b.not_(b.var(lay.s(l, j))), el(i, j)])
         branch_lines = []
         hs = []
         for e in (1, 0):
@@ -743,7 +736,7 @@ def cf_prove_rfn_res(m: int, n: int, k: int, check: bool = True) -> CfProof:
     def arc_step(side: str, i: int, jp: int, j: int) -> GClause:
         arc = b.var(lay.L(jp, j) if side == "L" else lay.R(jp, j))
         common_parts = [b.var(lay.ax(j)), b.not_(arc), junk(side, i, j), el(i, j)]
-        common = g.or_node(common_parts)
+        common = b.or_many(common_parts)
         branch_lines = []
         hs = []
         for e in (1, 0):
@@ -879,19 +872,15 @@ def _export(
 # Satisfaction/inlining equivalence
 
 
-def cf_prove_sat_equiv(f: Cnf | Circuit) -> CfProof:
+def cf_prove_sat_equiv(f: Cnf) -> CfProof:
     """Six lines proving ``sat`` at ``f``'s code equivalent to ``f`` inlined.
 
-    Accepts a CNF, or a circuit that structurally reads as one (an and-tree
-    of or-trees of literals, as ``cnf_to_circuit`` emits).  Both circuits
-    canonize identically -- the code bits are constants, so every selector
-    gate folds to the chosen literal -- which makes each implication
-    direction canonically true; the conjunction then needs one pairing
-    schema and two detachments.  Always exactly 6 lines: the constant
-    axiom, the two directions, and the pairing.
+    Both circuits canonize identically -- the code bits are constants, so
+    every selector gate folds to the chosen literal -- which makes each
+    implication direction canonically true; the conjunction then needs one
+    pairing schema and two detachments.  Always exactly 6 lines: the
+    constant axiom, the two directions, and the pairing.
     """
-    if isinstance(f, Circuit):
-        f = cnf_from_circuit(f)
     code = encode_cnf(f, strict=False)
     w = _Writer(CircuitBuilder(f.n))
     b = w.arena
@@ -912,49 +901,8 @@ def cf_prove_sat_equiv(f: Cnf | Circuit) -> CfProof:
     return _checked(proof, "satisfaction-equivalence")
 
 
-def cnf_from_circuit(c: Circuit) -> Cnf:
-    """Read a CNF back off its structural circuit form.
-
-    Inverse of ``cnf_to_circuit`` (any and/or association is accepted, not
-    just the balanced one); rejects circuits with other gate shapes.
-    """
-    b = CircuitBuilder(c.n_vars)
-    root = b.import_circuit(c)
-
-    def flatten(op: str, node: int) -> list[int]:
-        out: list[int] = []
-        stack = [node]
-        while stack:
-            x = stack.pop()
-            g = b.nodes[x]
-            if g[0] == op:
-                stack.extend((g[2], g[1]))
-            else:
-                out.append(x)
-        return out
-
-    def literal(node: int) -> int:
-        g = b.nodes[node]
-        if g[0] == "var":
-            return g[1]
-        if g[0] == "not" and b.nodes[g[1]][0] == "var":
-            return -b.nodes[g[1]][1]
-        raise ValueError("circuit is not in CNF shape")
-
-    top = b.nodes[root]
-    if top == ("const", 1):
-        return Cnf(c.n_vars, ())
-    clauses = []
-    for cl_node in flatten("and", root):
-        if b.nodes[cl_node] == ("const", 0):
-            clauses.append(frozenset())
-        else:
-            clauses.append(frozenset(literal(x) for x in flatten("or", cl_node)))
-    return Cnf(c.n_vars, tuple(clauses))
-
-
 # ---------------------------------------------------------------------------
-# Substitution, explosion, local reflection
+# Substitution and local reflection
 
 
 def _transplant(
@@ -1019,38 +967,6 @@ def _substitute(proof: CfProof, gamma: Mapping[int, Circuit], n_vars: int) -> Cf
         return arena.var(v) if got is None else got
 
     return CfProof(arena, _transplant(proof, arena, image))
-
-
-def cf_explode(
-    proof: CfProof,
-    a: Sequence[int],
-    beta: Circuit,
-    extensions: Sequence[Circuit] = (),
-) -> CfProof:
-    """From a proof of a falsifiable circuit, prove any ``beta`` in three
-    extra lines.
-
-    ``a`` must falsify the proof's last line.  Substituting it as constants
-    canonizes that line to false, so "false implies beta" is canonically
-    true and one detachment lands on ``beta``.
-    """
-    alpha = proof.last_circuit()
-    if len(a) < alpha.n_vars:
-        raise ValueError("assignment does not cover the proof's inputs")
-    if eval_circuit(alpha, a):
-        raise ValueError("assignment does not falsify the proved circuit")
-    cb = CircuitBuilder(0)
-    consts = {v: cb.build(cb.const(a[v - 1])) for v in range(1, proof.arena.n_vars + 1)}
-    sub, bnode = _rehouse(_substitute(proof, consts, beta.n_vars), beta)
-    arena = sub.arena
-    lines = list(sub.lines)
-    lines.append((arena.const(1), ("schema", 9, ())))
-    lines.append((arena.imp(sub.last_node, bnode), ("canon", len(lines) - 1)))
-    lines.append((bnode, ("mp", len(lines) - 1, len(sub.lines) - 1)))
-    out = CfProof(arena, tuple(lines))
-    if out.last_circuit() != beta:
-        raise RuntimeError("exploded proof does not end in beta")
-    return _checked(out, "exploded", extensions)
 
 
 def lrfn_from_rfn(proof: CfProof, f: Cnf) -> CfProof:

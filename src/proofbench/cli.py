@@ -225,8 +225,8 @@ def cmd_encode(args: argparse.Namespace) -> int:
         note = f"clique-color k={k} on {v} vertices (shared edge vars in the map)"
     elif fam == "strongly-friendly":
         (n,) = _need(args, "n")
+        k, lay = strongly_friendly_layout(n, budget, args.k)  # refuses sizes it cannot build
         text = emit_gates(build_strongly_friendly(n, budget, args.k))
-        k, lay = strongly_friendly_layout(n, budget, args.k)
         names = chain(lay.names(), code_names(n, k), block_names("u", lay.n))
         note = f"strongly-friendly n={n}"
     else:  # pragma: no cover - argparse rejects unknown families

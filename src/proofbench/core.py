@@ -457,12 +457,6 @@ class CircuitBuilder:
         return Circuit(self.n_vars, tuple(b.nodes))
 
 
-def cnf_to_circuit(f: Cnf) -> Circuit:
-    """Structural translation; agrees with eval_cnf on every assignment."""
-    b = CircuitBuilder(f.n)
-    return b.build(b.cnf_circuit(f))
-
-
 # ---------------------------------------------------------------------------
 # DIMACS
 

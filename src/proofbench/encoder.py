@@ -197,10 +197,13 @@ def block_names(name: str, count: int) -> Iterator[str]:
 # ---------------------------------------------------------------------------
 # Clause stream
 
-# Each constraint clause is (name, static_lits, slot) where ``slot`` is None
-# for ordinary clauses and (j, l, i, e) for the code-dependent ones: those
-# carry literal +y(e,i,j) when code bit (e,i,l) is 1 and the tautologizing
-# literal +s(l,j) when it is 0 (clause counts stay code-independent).
+# Each constraint clause is (name, common, slot).  Ordinary clauses have
+# all their literals in ``common`` and ``slot`` None.  The download slots
+# c2 are the only code-dependent clauses: ``common`` is -ax(j) | -s(l,j)
+# and ``slot`` is ((e, i, l), on, off).  Code bit (e,i,l) adds literal
+# ``on`` = +y(e,i,j); when the bit is 0 the tautologizing literal
+# ``off`` = +s(l,j) takes its place, so clause counts stay
+# code-independent.  A symbolic code adds -c(e,i,l) | on instead.
 
 
 def _prf_clauses(lay: PrfLayout) -> Iterator[tuple[tuple, list[int], tuple | None]]:
@@ -229,9 +232,10 @@ def _prf_clauses(lay: PrfLayout) -> Iterator[tuple[tuple, list[int], tuple | Non
     # Downloaded lines contain the selected clause.
     for j in range(1, m + 1):
         for l in range(1, k + 1):
+            ax, s = lay.ax(j), lay.s(l, j)
             for i in range(1, n + 1):
                 for e in (1, 0):
-                    yield ("c2", j, l, i, e), [-lay.ax(j), -lay.s(l, j), lay.y(e, i, j)], (j, l, i, e)
+                    yield ("c2", j, l, i, e), [-ax, -s], ((e, i, l), lay.y(e, i, j), s)
     # The pivot occurs positively in the L premise and negatively in the R.
     for j in range(2, m + 1):
         for jp in range(1, j):
@@ -286,19 +290,15 @@ def build_prf(m: int, n: int, k: int, code: CnfCode | None = None) -> EncodingAr
     lay = PrfLayout(m, n, k, symbolic=code is None)
     clauses: list[frozenset[int]] = []
     index: dict[tuple, int] = {}
-    for name, static, slot in _prf_clauses(lay):
-        if slot is None:
-            cl = frozenset(static)
-        else:
-            j, l, i, e = slot
+    for name, lits, slot in _prf_clauses(lay):
+        if slot is not None:
+            bit, on, off = slot
             if code is None:
-                cl = frozenset(static[:2] + [-lay.code(e, i, l), static[2]])
-            elif code.get(e, i, l):
-                cl = frozenset(static)
+                lits += [-lay.code(*bit), on]
             else:
-                cl = frozenset(static[:2] + [lay.s(l, j)])
+                lits.append(on if code.get(*bit) else off)
         index[name] = len(clauses)
-        clauses.append(cl)
+        clauses.append(frozenset(lits))
     formula = Cnf(lay.total_vars, tuple(clauses))
     params = {"m": m, "n": n, "k": k, "symbolic": code is None}
     return EncodingArtifact(formula, lay, "prf", code, params, index)
@@ -356,29 +356,22 @@ def decode_prf_assignment(artifact: EncodingArtifact, bits: Sequence[int]) -> Re
 
 
 def _prf_circuit(
-    b: CircuitBuilder,
-    lay: PrfLayout,
-    x_of: Callable[[int], int],
-    code_of: Callable[[int, int, int], int],
+    b: CircuitBuilder, lay: PrfLayout, code_of: Callable[[int, int, int], int]
 ) -> tuple[int, dict[tuple, list[int]]]:
-    """The prf constraints as one conjunction, and each constraint's
-    disjunct nodes by name; code bits come from ``code_of`` so instantiated,
-    shared-input, and template-wired variants all share this shape."""
-
-    def litnode(lit: int) -> int:
-        node = x_of(abs(lit))
-        return node if lit > 0 else b.not_(node)
-
+    """The prf constraints over the builder's leading inputs as one
+    conjunction, and each constraint's disjunct nodes by name; code bits
+    come from ``code_of`` so instantiated, shared-input, and template-wired
+    variants all share this shape."""
     conj = []
     parts: dict[tuple, list[int]] = {}
-    for name, static, slot in _prf_clauses(lay):
-        if slot is None:
-            parts[name] = [litnode(l) for l in static]
-        else:
-            j, l, i, e = slot
-            # this creation order fixes the node ids of every prf-based circuit
-            parts[name] = [litnode(static[0]), litnode(static[1]), b.not_(code_of(e, i, l)), litnode(static[2])]
-        conj.append(b.or_many(parts[name]))
+    for name, common, slot in _prf_clauses(lay):
+        # this creation order fixes the node ids of every prf-based circuit
+        nodes = [b.lit(lit) for lit in common]
+        if slot is not None:
+            bit, on, _off = slot
+            nodes += [b.not_(code_of(*bit)), b.lit(on)]
+        parts[name] = nodes
+        conj.append(b.or_many(nodes))
     return b.and_many(conj), parts
 
 
@@ -432,7 +425,7 @@ def _rfn_parts(b: CircuitBuilder, lay: PrfLayout) -> tuple[int, int, dict[tuple,
     Frege-proof generator rebuilds the sides to state its final theorem
     and reasons over the disjuncts)."""
     code_of = lambda e, i, l: b.var(lay.code(e, i, l))
-    prf, parts = _prf_circuit(b, lay, lambda v: b.var(v), code_of)
+    prf, parts = _prf_circuit(b, lay, code_of)
     sat = _sat_circuit(b, lay.n, lay.k, code_of, lambda i: b.var(lay.z(i)))
     return prf, sat, parts
 
@@ -449,9 +442,7 @@ def build_lrfn(f: Cnf, m: int) -> Circuit:
     lay = PrfLayout(m, f.n, f.k)
     V = lay.vars_proof
     b = CircuitBuilder(V + f.n)
-    prf, _ = _prf_circuit(
-        b, lay, lambda v: b.var(v), lambda e, i, l: b.const(code.get(e, i, l))
-    )
+    prf, _ = _prf_circuit(b, lay, lambda e, i, l: b.const(code.get(e, i, l)))
     inlined = b.cnf_circuit(shift_cnf(f, V, V + f.n))
     return b.build(b.or_(b.not_(prf), b.not_(inlined)))
 
@@ -462,7 +453,7 @@ def build_con(m: int, n: int) -> Circuit:
     assignment fails the download constraints, so this is a tautology."""
     lay = PrfLayout(m, n, 0)
     b = CircuitBuilder(lay.vars_proof)
-    prf, _ = _prf_circuit(b, lay, lambda v: b.var(v), lambda e, i, l: b.const(0))
+    prf, _ = _prf_circuit(b, lay, lambda e, i, l: b.const(0))
     return b.build(b.not_(prf))
 
 
@@ -564,10 +555,10 @@ def build_clique_color(k: int, vertices: int) -> tuple[Cnf, Cnf, dict[tuple[int,
 def build_prf_template(m: int, n: int, k: int) -> TemplateCode:
     """The prf CNF as a clause-code template over the ``2nk`` code bits.
 
-    Only the download slots depend on the code: bit (e,i,l) turns literal
-    ``+y(e,i,j)`` on and the tautologizing ``+s(l,j)`` off.  Instantiating
-    the template and encoding ``build_prf(m, n, k, code)`` give the same
-    code for every value of the parameters.
+    Only the download slots depend on the code (see ``_prf_clauses``):
+    a slot's ``on`` literal takes its code bit, ``off`` the bit's negation.
+    Instantiating the template and encoding ``build_prf(m, n, k, code)``
+    give the same code for every value of the parameters.
     """
     lay = PrfLayout(m, n, k)
     stream = list(_prf_clauses(lay))
@@ -577,29 +568,43 @@ def build_prf_template(m: int, n: int, k: int) -> TemplateCode:
     def put(e: int, v: int, col: int, entry: TemplateEntry) -> None:
         entries[code_pos(e, v, col, V, K)] = entry
 
-    for col, (_name, static, slot) in enumerate(stream, start=1):
-        if slot is None:
-            for lit in static:
-                put(1 if lit > 0 else 0, abs(lit), col, ("const", 1))
-        else:
-            j, l, i, e = slot
-            put(0, abs(static[0]), col, ("const", 1))  # -ax(j)
-            put(0, abs(static[1]), col, ("const", 1))  # -s(l,j)
-            put(1, static[2], col, ("ref", code_pos(e, i, l, n, k)))  # +y
-            put(1, lay.s(l, j), col, ("negref", code_pos(e, i, l, n, k)))  # +s
+    for col, (_name, common, slot) in enumerate(stream, start=1):
+        for lit in common:
+            put(1 if lit > 0 else 0, abs(lit), col, ("const", 1))
+        if slot is not None:
+            bit, on, off = slot
+            put(1, on, col, ("ref", code_pos(*bit, n, k)))
+            put(1, off, col, ("negref", code_pos(*bit, n, k)))
     return TemplateCode(V, K, 2 * n * k, tuple(entries))
+
+
+# The outer prf of the strongly friendly disjunction has 2mnk download
+# slots.  At n = 1 (default budget) that is 92,160 slots of 179,344
+# clauses, which build into 407,510 gates in about 3 s at a 225 MB peak on
+# a 2-core Xeon; n = 2 has 6,128,640 slots of 13,951,654 clauses and
+# does not fit in memory.  Allow a few times the n = 1 size.
+MAX_DOWNLOAD_SLOTS = 250_000
 
 
 def strongly_friendly_layout(n: int, budget: PolyBudget, k: int | None) -> tuple[int, PrfLayout]:
     """The inner clause count (``2n`` unless given) and the outer layout of
     :func:`build_strongly_friendly`: outer proofs refute the inner
     ``prf(p(n), n, k)``, so the outer ``n`` and ``k`` are its proof-variable
-    and clause counts, and the outer ``n`` is also the width of u."""
+    and clause counts, and the outer ``n`` is also the width of u.  Raises
+    ``ValueError`` when the outer prf has more than
+    ``MAX_DOWNLOAD_SLOTS`` download slots."""
     if k is None:
         k = 2 * n
     inner = PrfLayout(budget.eval_p(n), n, k)
     k_in = sum(1 for _ in _prf_clauses(inner))
-    return k, PrfLayout(budget.eval_p(inner.m), inner.vars_proof, k_in)
+    outer = PrfLayout(budget.eval_p(inner.m), inner.vars_proof, k_in)
+    slots = 2 * outer.m * outer.n * outer.k
+    if slots > MAX_DOWNLOAD_SLOTS:
+        raise ValueError(
+            f"strongly-friendly n={n} has {slots:,} download slots; "
+            f"at most {MAX_DOWNLOAD_SLOTS:,} can be built"
+        )
+    return k, outer
 
 
 def build_strongly_friendly(
@@ -628,7 +633,7 @@ def build_strongly_friendly(
         ref = b.var(V_out + v + 1)
         return ref if kind == "ref" else b.not_(ref)
 
-    prf_outer, _ = _prf_circuit(b, lay_out, lambda v: b.var(v), wired)
+    prf_outer, _ = _prf_circuit(b, lay_out, wired)
     sat_outer = _sat_circuit(b, n_in, k_in, wired, lambda i: b.var(V_out + params + i))
     return b.build(b.or_(b.not_(prf_outer), sat_outer))
 
@@ -640,8 +645,3 @@ def build_strongly_friendly(
 def map_text(names: Iterable[str]) -> str:
     """One ``<index> <name>`` line per input, numbering ``names`` from 1."""
     return "\n".join(f"{v} {name}" for v, name in enumerate(names, start=1)) + "\n"
-
-
-def layout_map_text(lay: PrfLayout) -> str:
-    """The map of a ``prf`` formula: one line per variable of ``lay``."""
-    return map_text(lay.names())

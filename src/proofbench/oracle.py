@@ -324,58 +324,6 @@ def dpll_refute(f: Cnf, budget: SearchBudget = DEFAULT_BUDGET) -> ResolutionProo
 
 
 # ---------------------------------------------------------------------------
-# Clausification
-
-
-def clausify_circuit(c: Circuit) -> tuple[Cnf, dict[int, int]]:
-    """Equisatisfiable CNF via fresh definition variables per gate.
-
-    Returns the CNF and a map from gate index to its CNF variable; input
-    gates map to their own variable index.  The CNF asserts the output.
-    """
-    var_of: dict[int, int] = {}
-    clauses: list[frozenset[int]] = []
-    next_var = c.n_vars
-
-    def fresh() -> int:
-        nonlocal next_var
-        next_var += 1
-        return next_var
-
-    for idx, g in enumerate(c.gates):
-        kind = g[0]
-        if kind == "var":
-            var_of[idx] = g[1]
-            continue
-        v = fresh()
-        var_of[idx] = v
-        if kind == "const":
-            clauses.append(frozenset([v if g[1] else -v]))
-        elif kind == "not":
-            a = var_of[g[1]]
-            clauses.append(frozenset([-v, -a]))
-            clauses.append(frozenset([v, a]))
-        elif kind == "and":
-            a, b = var_of[g[1]], var_of[g[2]]
-            clauses.append(frozenset([-v, a]))
-            clauses.append(frozenset([-v, b]))
-            clauses.append(frozenset([v, -a, -b]))
-        elif kind == "or":
-            a, b = var_of[g[1]], var_of[g[2]]
-            clauses.append(frozenset([-v, a, b]))
-            clauses.append(frozenset([v, -a]))
-            clauses.append(frozenset([v, -b]))
-        else:  # imp: v <-> (-a or b)
-            a, b = var_of[g[1]], var_of[g[2]]
-            clauses.append(frozenset([-v, -a, b]))
-            clauses.append(frozenset([v, a]))
-            clauses.append(frozenset([v, -b]))
-
-    clauses.append(frozenset([var_of[c.output]]))
-    return Cnf(next_var, tuple(clauses)), var_of
-
-
-# ---------------------------------------------------------------------------
 # Minimal refutation length
 
 

@@ -20,12 +20,10 @@ from proofbench.cfrege import (
     CfProof,
     SCHEMAS,
     cf_check,
-    cf_explode,
     cf_prove_rfn_res,
     cf_prove_sat_equiv,
     cf_serialize,
     cf_substitute,
-    cnf_from_circuit,
     instantiate_schema,
     lrfn_from_rfn,
 )
@@ -33,7 +31,6 @@ from proofbench.core import (
     Circuit,
     CircuitBuilder,
     cnf,
-    cnf_to_circuit,
     eval_circuit,
 )
 from proofbench.encoder import build_lrfn, build_rfn
@@ -64,9 +61,6 @@ def test_single_schema_line_checks():
     proof = CfProof(arena, ((node, ("schema", 0, (p, q))),))
     report = cf_check(proof)
     assert report.ok and report.lines == 1 and report.bit_size == 0
-    assert cf_check(proof, measure_bits=True).bit_size == len(
-        cf_serialize(proof).encode()
-    )
 
 
 def test_wrong_schema_shape_rejected():
@@ -145,9 +139,8 @@ def test_malformed_justification_is_a_failing_report(just):
     lines[2] = (lines[2][0], just)
     bad = CfProof(proof.arena, tuple(lines))
     nodes = len(proof.arena.nodes)
-    for measure_bits in (False, True):
-        report = cf_check(bad, measure_bits=measure_bits)
-        assert not report.ok and report.step == 2 and report.bit_size == 0
+    report = cf_check(bad)
+    assert not report.ok and report.step == 2 and report.bit_size == 0
     assert len(proof.arena.nodes) == nodes  # nothing was hash-consed
 
 
@@ -210,9 +203,8 @@ def test_malformed_line_is_a_failing_report():
     @given(line=MALFORMED_LINES)
     def prop(line):
         lines = proof.lines[:2] + (line,) + proof.lines[2:]
-        for measure_bits in (False, True):
-            report = cf_check(CfProof(proof.arena, lines), measure_bits=measure_bits)
-            assert not report.ok and report.step == 2 and report.bit_size == 0
+        report = cf_check(CfProof(proof.arena, lines))
+        assert not report.ok and report.step == 2 and report.bit_size == 0
 
     prop()
 
@@ -388,6 +380,33 @@ def test_substitute_rejects_unknown_variable():
         cf_substitute(proof, {4: b.build(b.var(1))})
 
 
+def cf_explode(proof: CfProof, a, beta: Circuit, extensions=()) -> CfProof:
+    """From a proof of a falsifiable circuit, prove any ``beta`` in three
+    extra lines.
+
+    ``a`` must falsify the proof's last line.  Substituting it as constants
+    canonizes that line to false, so "false implies beta" is canonically
+    true and one detachment lands on ``beta``.
+    """
+    alpha = proof.last_circuit()
+    if len(a) < alpha.n_vars:
+        raise ValueError("assignment does not cover the proof's inputs")
+    if eval_circuit(alpha, a):
+        raise ValueError("assignment does not falsify the proved circuit")
+    cb = CircuitBuilder(0)
+    consts = {v: cb.build(cb.const(a[v - 1])) for v in range(1, proof.arena.n_vars + 1)}
+    sub, bnode = cfrege._rehouse(cfrege._substitute(proof, consts, beta.n_vars), beta)
+    arena = sub.arena
+    lines = list(sub.lines)
+    lines.append((arena.const(1), ("schema", 9, ())))
+    lines.append((arena.imp(sub.last_node, bnode), ("canon", len(lines) - 1)))
+    lines.append((bnode, ("mp", len(lines) - 1, len(sub.lines) - 1)))
+    out = CfProof(arena, tuple(lines))
+    if out.last_circuit() != beta:
+        raise RuntimeError("exploded proof does not end in beta")
+    return cfrege._checked(out, "exploded", extensions)
+
+
 def test_explode_from_unsound_extension():
     pattern = Circuit(1, (("var", 1),))  # asserts its own argument: unsound
     arena = CircuitBuilder(1)
@@ -443,40 +462,14 @@ def test_sat_equiv_always_six_lines_and_true():
         )
         proof = cf_prove_sat_equiv(f)
         assert len(proof) == 6
-        report = cf_check(proof, measure_bits=True)
-        assert report.ok and report.bit_size > 0
+        assert cf_check(proof).ok and len(cf_serialize(proof).encode()) > 0
         assert _tt(proof.last_circuit()) == (1 << (1 << n)) - 1
-
-
-def test_sat_equiv_accepts_circuit_form():
-    f = cnf(2, [[1, -2], [2]])
-    via_cnf = cf_prove_sat_equiv(f)
-    via_circuit = cf_prove_sat_equiv(cnf_to_circuit(f))
-    assert len(via_cnf) == len(via_circuit) == 6
-    assert via_cnf.last_circuit() == via_circuit.last_circuit()
 
 
 def test_sat_equiv_chained_clause_family():
     for k in range(1, 21):
         f = cnf(k + 1, [[i, -(i + 1)] for i in range(1, k + 1)])
         assert len(cf_prove_sat_equiv(f)) == 6
-
-
-def test_cnf_from_circuit_round_trip():
-    rng = random.Random(43)
-    for _ in range(50):
-        n = rng.randint(1, 4)
-        f = cnf(
-            n,
-            [
-                [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), rng.randint(1, n))]
-                for _ in range(rng.randint(1, 4))
-            ],
-        )
-        assert cnf_from_circuit(cnf_to_circuit(f)) == f
-    b = CircuitBuilder(2)
-    with pytest.raises(ValueError, match="CNF shape"):
-        cnf_from_circuit(b.build(b.imp(b.var(1), b.var(2))))
 
 
 # ---------------------------------------------------------------------------

