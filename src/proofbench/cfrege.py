@@ -64,6 +64,13 @@ class CanonTable:
     children sorted, deduplicated, constant-free and complement-free.  Two
     arena nodes denote the same canonical form iff :meth:`canon` returns
     the same id for both.
+
+    :meth:`canon` refuses, with ``ValueError``, any gate that
+    :class:`~proofbench.core.Circuit` refuses: a kind other than ``var``,
+    ``const``, ``not``, ``and``, ``or`` and ``imp``, a wrong input count, an
+    input ``i`` outside ``1..n_vars``, a constant other than 0 or 1, and a
+    child id that is not below the gate's own id, which also rules out
+    cycles.  Ids and input numbers must be of type ``int``.
     """
 
     def __init__(self, arena: CircuitBuilder):
@@ -78,78 +85,73 @@ class CanonTable:
         got = self._intern.get(form)
         if got is not None:
             return got
+        cid = self._intern[form] = len(self._forms)
         self._forms.append(form)
-        cid = len(self._forms) - 1
-        self._intern[form] = cid
         return cid
-
-    def mk_const(self, b: int) -> int:
-        return self.TRUE if b else self.FALSE
-
-    def mk_var(self, i: int) -> int:
-        return self._mk(("var", i))
 
     def mk_not(self, a: int) -> int:
         form = self._forms[a]
         if form[0] == "const":
-            return self.mk_const(1 - form[1])
+            return self.FALSE if form[1] else self.TRUE
         if form[0] == "not":
             return form[1]
         return self._mk(("not", a))
 
-    def mk_op(self, op: str, args: Sequence[int]) -> int:
-        ann = self.FALSE if op == "and" else self.TRUE
-        ident = self.TRUE if op == "and" else self.FALSE
+    def mk_op(self, op: str, a: int, b: int) -> int:
+        """Canonical ``a op b`` for ``op`` in ``and``/``or``."""
         forms = self._forms
-        if len(args) == 2:
-            # The common case: one argument is already a canonical ``op``
-            # node, whose children are sorted, deduplicated, constant-free
-            # and complement-free, so only the other argument ``x`` needs
-            # merging in, and only ``x`` can close a complement pair.
-            wide, x = args
-            if forms[x][0] == op:
-                wide, x = x, wide
-            kids = forms[wide][1] if forms[wide][0] == op else None
-            if kids is not None and forms[x][0] != op:
-                if x == ann:
+        fa, fb = forms[a], forms[b]
+        if op == "and":
+            ann, ident = self.FALSE, self.TRUE
+        else:
+            ann, ident = self.TRUE, self.FALSE
+        if (fa[0] == op) != (fb[0] == op):
+            # One side is a canonical ``op`` node, whose children are sorted,
+            # deduplicated, constant-free and complement-free, so only the
+            # other side ``x`` needs merging in, and only ``x`` can close a
+            # complement pair.
+            if fa[0] == op:
+                wide, kids, x, fx = a, fa[1], b, fb
+            else:
+                wide, kids, x, fx = b, fb[1], a, fa
+            if x == ann:
+                return ann
+            if x == ident:
+                return wide
+            pos = bisect_left(kids, x)
+            if pos < len(kids) and kids[pos] == x:
+                return wide
+            if fx[0] == "not":
+                if _holds(kids, fx[1]):
                     return ann
-                if x == ident:
-                    return wide
-                pos = bisect_left(kids, x)
-                if pos < len(kids) and kids[pos] == x:
-                    return wide
-                form = forms[x]
-                if form[0] == "not" and _holds(kids, form[1]):
-                    return ann
+            else:
                 # a lookup, not an insert: an un-interned negation of x
                 # cannot be among the children
                 neg = self._intern.get(("not", x))
                 if neg is not None and _holds(kids, neg):
                     return ann
-                return self._mk((op, kids[:pos] + (x,) + kids[pos:]))
-        flat: list[int] = []
-        for a in args:
-            form = forms[a]
-            if form[0] == op:
-                flat.extend(form[1])
-            elif a == ann:
+            return self._mk((op, kids[:pos] + (x,) + kids[pos:]))
+        if fa[0] != op:
+            if a == ann or b == ann:
                 return ann
-            elif a != ident:
-                flat.append(a)
-        out = sorted(set(flat))
-        outset = set(out)
-        for a in out:
-            form = forms[a]
-            if form[0] == "not" and form[1] in outset:
+            if a == ident or a == b:
+                return b
+            if b == ident:
+                return a
+            if (fa[0] == "not" and fa[1] == b) or (fb[0] == "not" and fb[1] == a):
                 return ann
-        if not out:
-            return ident
-        if len(out) == 1:
-            return out[0]
-        return self._mk((op, tuple(out)))
+            return self._mk((op, (a, b) if a < b else (b, a)))
+        kids = set(fa[1])
+        kids.update(fb[1])
+        for c in kids:
+            form = forms[c]
+            if form[0] == "not" and form[1] in kids:
+                return ann
+        return self._mk((op, tuple(sorted(kids))))
 
     def mk_imp(self, a: int, b: int) -> int:
-        return self.mk_op("or", [self.mk_not(a), b])
+        """Canonical ``a -> b``, which is ``!a | b``."""
+        return self.mk_op("or", self.mk_not(a), b)
 
     def canon(self, node: int) -> int:
         """Canonical id of an arena node (memoized, iterative)."""
@@ -158,29 +160,46 @@ class CanonTable:
         if got is not None:
             return got
         nodes = self.arena.nodes
+        n_vars = self.arena.n_vars
         stack = [node]
         while stack:
             x = stack[-1]
-            if x in memo:
-                stack.pop()
-                continue
             g = nodes[x]
             kind = g[0]
-            if kind == "var":
-                memo[x] = self.mk_var(g[1])
-            elif kind == "const":
-                memo[x] = self.mk_const(g[1])
-            else:
-                deps = [d for d in g[1:] if d not in memo]
-                if deps:
-                    stack.extend(deps)
+            if kind == "imp" or kind == "or" or kind == "and":
+                _, a, b = g
+                if not (type(a) is int is type(b) and 0 <= a < x and 0 <= b < x):
+                    raise ValueError(f"gate {x}: bad reference")
+                ca = memo.get(a)
+                cb = memo.get(b)
+                if ca is None or cb is None:
+                    if ca is None:
+                        stack.append(a)
+                    if cb is None:
+                        stack.append(b)
                     continue
-                if kind == "not":
-                    memo[x] = self.mk_not(memo[g[1]])
-                elif kind == "imp":
-                    memo[x] = self.mk_imp(memo[g[1]], memo[g[2]])
-                else:
-                    memo[x] = self.mk_op(kind, [memo[g[1]], memo[g[2]]])
+                memo[x] = self.mk_imp(ca, cb) if kind == "imp" else self.mk_op(kind, ca, cb)
+            elif kind == "not":
+                _, a = g
+                if not (type(a) is int and 0 <= a < x):
+                    raise ValueError(f"gate {x}: bad reference")
+                ca = memo.get(a)
+                if ca is None:
+                    stack.append(a)
+                    continue
+                memo[x] = self.mk_not(ca)
+            elif kind == "var":
+                _, i = g
+                if not (type(i) is int and 1 <= i <= n_vars):
+                    raise ValueError(f"gate {x}: input {i} out of range")
+                memo[x] = self._mk(("var", i))
+            elif kind == "const":
+                _, v = g
+                if v != 0 and v != 1:
+                    raise ValueError(f"gate {x}: bad constant")
+                memo[x] = self.TRUE if v else self.FALSE
+            else:
+                raise ValueError(f"gate {x}: unknown kind {kind!r}")
             stack.pop()
         return memo[node]
 
@@ -271,37 +290,42 @@ def cf_check(proof: CfProof, extensions: Sequence[Circuit] = ()) -> CheckReport:
             return fail(t, f"malformed {rule} justification")
         if type(node) is not int or not 0 <= node < len(nodes):
             return fail(t, f"line circuit {node!r} is not an arena node")
-        if rule in ("schema", "ext"):
-            idx, sigma = just[1], just[2]
-            count = len(SCHEMAS if rule == "schema" else extensions)
-            if type(idx) is not int or not 0 <= idx < count:
-                return fail(t, f"{rule} index {idx!r} out of range")
-            if not isinstance(sigma, (tuple, list)) or not all(
-                type(s) is int and 0 <= s < len(nodes) for s in sigma
-            ):
-                return fail(t, f"{rule} arguments are not arena nodes")
-            try:
-                if rule == "schema":
-                    inst = instantiate_schema(arena, idx, sigma)
-                else:
-                    inst = instantiate_extension(arena, extensions[idx], sigma)
-            except ValueError as e:
-                return fail(t, f"bad instantiation: {e}")
-            if ct.canon(node) != ct.canon(inst):
-                return fail(t, f"line does not match its {rule} instance")
-        elif rule == "mp":
-            j1, j2 = just[1], just[2]
-            if not (type(j1) is type(j2) is int and 0 <= j1 < t and 0 <= j2 < t):
-                return fail(t, "premise index out of range")
-            want = ct.mk_imp(ct.canon(proof.lines[j2][0]), ct.canon(node))
-            if ct.canon(proof.lines[j1][0]) != want:
-                return fail(t, "major premise does not imply this line")
-        else:
-            j = just[1]
-            if type(j) is not int or not 0 <= j < t:
-                return fail(t, "premise index out of range")
-            if ct.canon(proof.lines[j][0]) != ct.canon(node):
-                return fail(t, "line is not a canonization of its premise")
+        # canon refuses the gates Circuit refuses (see CanonTable)
+        try:
+            if rule in ("schema", "ext"):
+                idx, sigma = just[1], just[2]
+                count = len(SCHEMAS if rule == "schema" else extensions)
+                if type(idx) is not int or not 0 <= idx < count:
+                    return fail(t, f"{rule} index {idx!r} out of range")
+                if not isinstance(sigma, (tuple, list)):
+                    return fail(t, f"{rule} arguments are not arena nodes")
+                for s in sigma:
+                    if type(s) is not int or not 0 <= s < len(nodes):
+                        return fail(t, f"{rule} arguments are not arena nodes")
+                try:
+                    if rule == "schema":
+                        inst = instantiate_schema(arena, idx, sigma)
+                    else:
+                        inst = instantiate_extension(arena, extensions[idx], sigma)
+                except ValueError as e:
+                    return fail(t, f"bad instantiation: {e}")
+                if ct.canon(node) != ct.canon(inst):
+                    return fail(t, f"line does not match its {rule} instance")
+            elif rule == "mp":
+                j1, j2 = just[1], just[2]
+                if not (type(j1) is type(j2) is int and 0 <= j1 < t and 0 <= j2 < t):
+                    return fail(t, "premise index out of range")
+                want = ct.mk_imp(ct.canon(proof.lines[j2][0]), ct.canon(node))
+                if ct.canon(proof.lines[j1][0]) != want:
+                    return fail(t, "major premise does not imply this line")
+            else:
+                j = just[1]
+                if type(j) is not int or not 0 <= j < t:
+                    return fail(t, "premise index out of range")
+                if ct.canon(proof.lines[j][0]) != ct.canon(node):
+                    return fail(t, "line is not a canonization of its premise")
+        except (IndexError, TypeError, ValueError) as e:
+            return fail(t, f"malformed arena: {e}")
     return CheckReport(True, None, None, len(proof.lines), 0)
 
 

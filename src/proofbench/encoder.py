@@ -596,12 +596,16 @@ def strongly_friendly_layout(n: int, budget: PolyBudget, k: int | None) -> tuple
     if k is None:
         k = 2 * n
     inner = PrfLayout(budget.eval_p(n), n, k)
-    k_in = sum(1 for _ in _prf_clauses(inner))
-    outer = PrfLayout(budget.eval_p(inner.m), inner.vars_proof, k_in)
-    slots = 2 * outer.m * outer.n * outer.k
+    m_out = budget.eval_p(inner.m)
+    # The inner prf's 2mnk download slots are some of its clauses, so they
+    # bound the outer slot count from below before any clause is counted.
+    slots = 2 * m_out * inner.vars_proof * (2 * inner.m * n * k)
+    if slots <= MAX_DOWNLOAD_SLOTS:
+        outer = PrfLayout(m_out, inner.vars_proof, sum(1 for _ in _prf_clauses(inner)))
+        slots = 2 * outer.m * outer.n * outer.k
     if slots > MAX_DOWNLOAD_SLOTS:
         raise ValueError(
-            f"strongly-friendly n={n} has {slots:,} download slots; "
+            f"strongly-friendly n={n} has at least {slots:,} download slots; "
             f"at most {MAX_DOWNLOAD_SLOTS:,} can be built"
         )
     return k, outer

@@ -4,6 +4,7 @@ forms, substitution and explosion, the reflection proofs, and their
 localization at a fixed CNF.
 """
 
+import hashlib
 import itertools
 import os
 import random
@@ -209,6 +210,76 @@ def test_malformed_line_is_a_failing_report():
     prop()
 
 
+@pytest.mark.parametrize(
+    "gate",
+    [
+        ("and", 0),  # too few inputs
+        ("not", 0, 1),  # too many inputs
+        ("var",),
+        (),
+        lambda me: ("not", me),  # names itself
+        lambda me: ("or", 0, me + 1),  # names a later gate
+        ("imp", -1, 0),  # a negative id would index from the end
+        ("xor", 0, 1),
+        ("var", 0),
+        ("var", 2),
+        ("const", 2),
+        ("and", "g0", 0),
+        ("not", 0.5),
+        ("not", 1.0),  # an id equal to an int is still no int
+        ("var", True),
+    ],
+)
+def test_malformed_arena_is_a_failing_report(gate):
+    # The true axiom, then a restatement of it naming ``gate``, appended to
+    # the arena as it is, the way a proof built elsewhere may hold it.
+    arena = CircuitBuilder(1)
+    true = arena.const(1)
+    arena.const(0)
+    me = len(arena.nodes)
+    arena.nodes.append(gate(me) if callable(gate) else gate)
+    report = cf_check(CfProof(arena, ((true, ("schema", 9, ())), (me, ("canon", 0)))))
+    assert not report.ok and report.step == 1 and "malformed arena" in report.reason
+
+
+# Gates of the right shape over small ids, most of them well formed, and
+# tuples of any kind and length with fields of any type.
+SMALL_IDS = st.integers(-1, 12)
+RANDOM_GATES = st.one_of(
+    st.tuples(st.just("var"), st.integers(-1, 3)),
+    st.tuples(st.just("const"), st.integers(-1, 2)),
+    st.tuples(st.just("not"), SMALL_IDS),
+    st.tuples(st.sampled_from(("and", "or", "imp", "xor")), SMALL_IDS, SMALL_IDS),
+    st.builds(
+        lambda kind, rest: (kind,) + tuple(rest),
+        st.sampled_from(("var", "const", "not", "and", "or", "imp", "xor")),
+        st.lists(st.one_of(SMALL_IDS, st.integers(), st.none(), st.text(max_size=1), st.floats()), max_size=3),
+    ),
+)
+
+
+@settings(deadline=None)
+@given(gates=st.lists(RANDOM_GATES, min_size=1, max_size=8), rule=st.sampled_from(("canon", "schema")))
+def test_random_arena_gates_get_a_report(gates, rule):
+    # Grow a small arena by random gate tuples, valid or not, and name the
+    # last one in a line: the checker returns a report rather than raise or
+    # loop, and a line it accepts is a tautology.
+    arena = CircuitBuilder(2)
+    true = arena.const(1)
+    arena.imp(arena.var(1), arena.not_(arena.var(2)))
+    arena.nodes.extend(gates)
+    node = len(arena.nodes) - 1
+    if rule == "canon":
+        line = (node, ("canon", 0))
+    else:
+        line = (instantiate_schema(arena, 0, (node, true)), ("schema", 0, (node, true)))
+    report = cf_check(CfProof(arena, ((true, ("schema", 9, ())), line)))
+    if report.ok:
+        assert _tt(arena.build(line[0])) == 0b1111
+    else:
+        assert report.step == 1
+
+
 # ---------------------------------------------------------------------------
 # canonical forms
 
@@ -253,23 +324,28 @@ def test_canon_collapses_standard_identities():
 
 class _SortSetCanon(CanonTable):
     """Reference canonizer: ``mk_op`` flattens, sorts and deduplicates
-    every call, and scans the whole result for complement pairs."""
+    every call, and scans the whole result for complement pairs.  ``calls``
+    counts them, so a test can tell that ``canon`` and ``mk_imp`` reached
+    this ``mk_op`` rather than going around it."""
 
-    def mk_op(self, op, args):
+    calls = 0
+
+    def mk_op(self, op, a, b):
+        self.calls += 1
         ann = self.FALSE if op == "and" else self.TRUE
         ident = self.TRUE if op == "and" else self.FALSE
         flat = []
-        for a in args:
-            form = self._forms[a]
+        for x in (a, b):
+            form = self._forms[x]
             if form[0] == op:
                 flat.extend(form[1])
-            elif a == ann:
+            elif x == ann:
                 return ann
-            elif a != ident:
-                flat.append(a)
+            elif x != ident:
+                flat.append(x)
         out = sorted(set(flat))
-        for a in out:
-            form = self._forms[a]
+        for x in out:
+            form = self._forms[x]
             if form[0] == "not" and form[1] in out:
                 return ann
         if not out:
@@ -330,6 +406,12 @@ def test_canonical_forms_match_the_sort_set_reference(drawn):
         assert got == want
     # the same forms were interned, in the same order
     assert ct._forms == ref._forms
+    # every binary gate went through the reference's mk_op, and the check
+    # of mk_imp on its own does too
+    binary = sum(1 for g in arena.nodes if g[0] in ("and", "or", "imp"))
+    assert ref.calls == binary
+    x = ref.canon(pool[0])
+    assert ref.mk_imp(x, x) == ct.mk_imp(x, x) == ct.TRUE and ref.calls == binary + 1
 
 
 # ---------------------------------------------------------------------------
@@ -483,6 +565,19 @@ def test_rfn_res_frozen_line_counts():
         assert len(proof) == lines
         assert len(proof) <= 360 * m * n * (m + n + k)
         assert proof.last_circuit() == build_rfn(m, n, k)
+
+
+def test_rfn_res_proof_bytes_are_pinned():
+    # The writer dedups lines by canonical id, so any slip in the canonical
+    # forms changes which lines are written, and with them the text.
+    expected = {
+        (1, 1, 1): "370eb24749297cf6",
+        (2, 2, 2): "b194fe68e2d4c40a",
+        (3, 3, 3): "abd63a0241231e3a",
+    }
+    for shape, digest in expected.items():
+        text = cf_serialize(cf_prove_rfn_res(*shape, check=False))
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
 
 def test_rfn_res_unchecked_build_then_check():

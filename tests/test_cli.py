@@ -193,13 +193,17 @@ def test_lrfn_ladder_is_checked_before_any_work(monkeypatch, capsys):
 
 def test_strongly_friendly_refuses_sizes_it_cannot_build(monkeypatch, capsys):
     def reached(*args, **kwargs):
-        raise AssertionError("built part of the circuit before the size check")
+        raise AssertionError("built or counted part of the circuit before the size check")
 
     monkeypatch.setattr(encoder, "build_prf_template", reached)
     monkeypatch.setattr(encoder, "_prf_circuit", reached)
-    assert main(["encode", "strongly-friendly", "--n", "2", "--out", "-"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    # the lower bound from the inner download slots refuses before the
+    # inner clauses are counted
+    monkeypatch.setattr(encoder, "_prf_clauses", reached)
+    for n in ("2", "60"):
+        assert main(["encode", "strongly-friendly", "--n", n, "--out", "-"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 # Public names that no program calls but that stay, with the reason.
