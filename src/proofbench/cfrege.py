@@ -65,12 +65,12 @@ class CanonTable:
     arena nodes denote the same canonical form iff :meth:`canon` returns
     the same id for both.
 
-    :meth:`canon` refuses, with ``ValueError``, any gate that
-    :class:`~proofbench.core.Circuit` refuses: a kind other than ``var``,
-    ``const``, ``not``, ``and``, ``or`` and ``imp``, a wrong input count, an
-    input ``i`` outside ``1..n_vars``, a constant other than 0 or 1, and a
-    child id that is not below the gate's own id, which also rules out
-    cycles.  Ids and input numbers must be of type ``int``.
+    :meth:`canon` refuses, with a ``ValueError`` naming the gate, exactly
+    the gates that :func:`~proofbench.core.check_gate` refuses, so
+    :class:`~proofbench.core.Circuit`, :func:`~proofbench.core.parse_gates`
+    and :func:`cf_check` refuse the same gates.  The rule is stated in
+    ``check_gate``; :meth:`canon` repeats it inline because it runs on every
+    node of the proof kernel.
     """
 
     def __init__(self, arena: CircuitBuilder):
@@ -165,8 +165,12 @@ class CanonTable:
         while stack:
             x = stack[-1]
             g = nodes[x]
+            if type(g) is not tuple or not g:
+                raise ValueError(f"gate {x}: not a gate tuple")
             kind = g[0]
             if kind == "imp" or kind == "or" or kind == "and":
+                if len(g) != 3:
+                    raise ValueError(f"gate {x}: {kind} with {len(g) - 1} fields")
                 _, a, b = g
                 if not (type(a) is int is type(b) and 0 <= a < x and 0 <= b < x):
                     raise ValueError(f"gate {x}: bad reference")
@@ -179,6 +183,8 @@ class CanonTable:
                         stack.append(b)
                     continue
                 memo[x] = self.mk_imp(ca, cb) if kind == "imp" else self.mk_op(kind, ca, cb)
+            elif len(g) != 2 and kind in ("not", "var", "const"):
+                raise ValueError(f"gate {x}: {kind} with {len(g) - 1} fields")
             elif kind == "not":
                 _, a = g
                 if not (type(a) is int and 0 <= a < x):
@@ -191,12 +197,12 @@ class CanonTable:
             elif kind == "var":
                 _, i = g
                 if not (type(i) is int and 1 <= i <= n_vars):
-                    raise ValueError(f"gate {x}: input {i} out of range")
+                    raise ValueError(f"gate {x}: input {i!r} out of range")
                 memo[x] = self._mk(("var", i))
             elif kind == "const":
                 _, v = g
-                if v != 0 and v != 1:
-                    raise ValueError(f"gate {x}: bad constant")
+                if not (type(v) is int and 0 <= v <= 1):
+                    raise ValueError(f"gate {x}: bad constant {v!r}")
                 memo[x] = self.TRUE if v else self.FALSE
             else:
                 raise ValueError(f"gate {x}: unknown kind {kind!r}")
@@ -346,12 +352,9 @@ def cf_serialize(proof: CfProof) -> str:
     out = [f"inputs {proof.arena.n_vars}"]
     out += [f"g{x} := {gate_text(nodes[x])}" for x in cone(nodes, _roots(proof))]
     for node, just in proof.lines:
-        if just[0] == "schema":
+        if just[0] == "schema" or just[0] == "ext":
             args = "".join(f" g{s}" for s in just[2])
-            head = f"S {just[1]}{args}"
-        elif just[0] == "ext":
-            args = "".join(f" g{s}" for s in just[2])
-            head = f"X {just[1]}{args}"
+            head = f"{'S' if just[0] == 'schema' else 'X'} {just[1]}{args}"
         elif just[0] == "mp":
             head = f"MP {just[1]} {just[2]}"
         else:
@@ -546,14 +549,8 @@ class _Gamma:
 
     def weaken(self, g: GClause, extra: Sequence[int]) -> GClause:
         """Add disjuncts to a clause."""
-        ct = self.w.ct
-        have = {ct.canon(q) for q in g[1]}
-        new = []
-        for p in extra:
-            c = ct.canon(p)
-            if c not in have:
-                have.add(c)
-                new.append(p)
+        parts = self.clause(g[0], list(g[1]) + list(extra))[1]
+        new = parts[len(g[1]):]  # g's own parts are already distinct
         if not new:
             return g
         d = self.b.or_many(g[1])
@@ -562,7 +559,7 @@ class _Gamma:
         line = self.mp_ctx(
             self.lift(self.w.schema(6, d, e)), self.w.canon_as(g[0], self.j(d)), d, c
         )
-        return self.clause(line, list(g[1]) + new)
+        return (line, parts)
 
 
 class _Projector:

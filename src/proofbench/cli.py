@@ -28,7 +28,6 @@ import re
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
 from itertools import chain
 
 from .cfrege import cf_check, cf_prove_rfn_res
@@ -358,37 +357,15 @@ def _run_tasks(fn, tasks: list, workers: int) -> list:
 # experiment suites
 
 
-@dataclass
-class ExperimentReport:
-    """JSON-ready batch result.
-
-    Every record carries the checker verdict wherever a proof was produced
-    (``valid``, or ``dpll_valid`` for auxiliary upper-bound proofs).  The
-    ``generated_at`` and ``wall_clock_s`` fields are the only ones that
-    differ between identical invocations.
-    """
-
-    experiment: str
-    parameters: dict
-    records: list
-    aggregate: dict
-    generated_at: str = ""
-    wall_clock_s: float = 0.0
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
-
-
 def _exp_lrfn_nontaut(args: argparse.Namespace) -> tuple[dict, list, dict, bool]:
+    n = int(args.n)
     ms = [int(x) for x in str(args.m).split(",")]
     if len(ms) >= 2 and len(set(ms)) < 2:
         # the degree fit needs two distinct points; say so before any work
         raise UsageError("--m ladder needs at least two distinct values")
-    params = {"count": args.count, "n": args.n, "k": args.k, "m": ms, "seed": args.seed}
+    params = {"count": args.count, "n": n, "k": args.k, "m": ms, "seed": args.seed}
     rng = random.Random(args.seed)
-    instances = [
-        _sample_with_status(rng, "sat", args.n, args.k) for _ in range(args.count)
-    ]
+    instances = [_sample_with_status(rng, "sat", n, args.k) for _ in range(args.count)]
     tasks = [(f, model, m) for f, model in instances for m in ms]
     records = _run_tasks(_lrfn_task, tasks, args.workers)
     fits = {}
@@ -408,14 +385,15 @@ def _exp_lrfn_nontaut(args: argparse.Namespace) -> tuple[dict, list, dict, bool]
 
 
 def _exp_am_roundtrip(args: argparse.Namespace) -> tuple[dict, list, dict, bool]:
+    n = int(args.n)
     p = parse_poly(args.p) if args.p else (0, 1)
     q = parse_poly(args.q) if args.q else (0, 0, 0, 1)
-    params = {"count": args.count, "n": args.n, "p": list(p), "q": list(q), "seed": args.seed}
+    params = {"count": args.count, "n": n, "p": list(p), "q": list(q), "seed": args.seed}
     rng = random.Random(args.seed)
     tasks = []
     for idx in range(args.count):
         want = "sat" if idx % 2 == 0 else "unsat"
-        got = _sample_with_status(rng, want, args.n, 2 * args.n)
+        got = _sample_with_status(rng, want, n, 2 * n)
         f = got[0]
         model = got[1] if want == "sat" else None
         tasks.append((f, want, model, p, q))
@@ -515,19 +493,24 @@ EXPERIMENTS = {
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
+    """Run one suite and write its JSON report.  Every record carries the
+    checker verdict wherever a proof was produced (``valid``, or
+    ``dpll_valid`` for auxiliary upper-bound proofs); ``generated_at`` and
+    ``wall_clock_s`` are the only fields that differ between identical
+    invocations."""
     t0 = time.monotonic()
     params, records, aggregate, ok = EXPERIMENTS[args.name](args)
-    report = ExperimentReport(
-        experiment=args.name,
-        parameters=params,
-        records=records,
-        aggregate=aggregate,
-        generated_at=datetime.datetime.now(datetime.timezone.utc).isoformat(
+    report = {
+        "experiment": args.name,
+        "parameters": params,
+        "records": records,
+        "aggregate": aggregate,
+        "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(
             timespec="seconds"
         ),
-        wall_clock_s=round(time.monotonic() - t0, 3),
-    )
-    text = report.to_json()
+        "wall_clock_s": round(time.monotonic() - t0, 3),
+    }
+    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if args.report:
         _write_text(args.report, text)
         print(f"{args.name}: {'ok' if ok else 'FAILED'}, report in {args.report}")
@@ -589,10 +572,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "experiment":
-        # the sampler parameters arrive as strings so ladders parse uniformly
-        if args.name in ("lrfn-nontaut", "am-roundtrip"):
-            args.n = int(args.n)
     try:
         return args.func(args)
     except UsageError as e:

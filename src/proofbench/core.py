@@ -179,14 +179,6 @@ class CnfCode:
         return self.bits[code_pos(e, i, l, self.n, self.k)]
 
 
-def is_normalized_code(code: CnfCode) -> bool:
-    return all(
-        not (code.get(0, i, l) and code.get(1, i, l))
-        for i in range(1, code.n + 1)
-        for l in range(1, code.k + 1)
-    )
-
-
 def encode_cnf(f: Cnf, strict: bool = True) -> CnfCode:
     """Build the 2 x n x k code of ``f``.
 
@@ -206,8 +198,6 @@ def encode_cnf(f: Cnf, strict: bool = True) -> CnfCode:
 
 def decode_cnf(code: CnfCode, strict: bool = True) -> Cnf:
     """Inverse of :func:`encode_cnf`; exact round-trip in both directions."""
-    if strict and not is_normalized_code(code):
-        raise ValueError("non-normalized code (clause with both polarities)")
     clauses = []
     for l in range(1, code.k + 1):
         cl = []
@@ -217,7 +207,10 @@ def decode_cnf(code: CnfCode, strict: bool = True) -> Cnf:
             if code.get(0, i, l):
                 cl.append(-i)
         clauses.append(frozenset(cl))
-    return Cnf(code.n, tuple(clauses))
+    f = Cnf(code.n, tuple(clauses))
+    if strict and not is_normalized(f):
+        raise ValueError("non-normalized code (clause with both polarities)")
+    return f
 
 
 # Template entries: ('const', b) | ('ref', j) | ('negref', j).  A negated
@@ -276,6 +269,36 @@ Gate = tuple
 GATE_KINDS = ("var", "const", "not", "and", "or", "imp")
 
 
+def check_gate(x: int, g: Gate, n_vars: int) -> None:
+    """Raise ``ValueError`` naming gate ``x`` unless ``g`` is well formed as
+    gate ``x`` of a circuit over inputs ``1..n_vars``.
+
+    A well-formed gate is a tuple of a kind in :data:`GATE_KINDS` with
+    exactly its fields: an ``int`` input in ``1..n_vars``, an ``int``
+    constant 0 or 1, or ``int`` children below ``x``, which rules out
+    cycles.  :class:`Circuit` and :func:`parse_gates` refuse a gate through
+    this rule; ``cfrege.CanonTable.canon`` keeps an inline copy of it on
+    its hot path, which the tests pin to this one.
+    """
+    if type(g) is not tuple or not g:
+        raise ValueError(f"gate {x}: not a gate tuple")
+    kind = g[0]
+    if kind not in GATE_KINDS:
+        raise ValueError(f"gate {x}: unknown kind {kind!r}")
+    if len(g) != (3 if kind in ("and", "or", "imp") else 2):
+        raise ValueError(f"gate {x}: {kind} with {len(g) - 1} fields")
+    if kind == "var":
+        if not (type(g[1]) is int and 1 <= g[1] <= n_vars):
+            raise ValueError(f"gate {x}: input {g[1]!r} out of range")
+    elif kind == "const":
+        if not (type(g[1]) is int and 0 <= g[1] <= 1):
+            raise ValueError(f"gate {x}: bad constant {g[1]!r}")
+    else:
+        for a in g[1:]:
+            if not (type(a) is int and 0 <= a < x):
+                raise ValueError(f"gate {x}: bad reference {a!r}")
+
+
 @dataclass(frozen=True)
 class Circuit:
     """An immutable gate list; the last gate is the output."""
@@ -288,51 +311,80 @@ class Circuit:
             raise ValueError(f"negative input count {self.n_vars}")
         if not self.gates:
             raise ValueError("empty circuit")
-        for idx, g in enumerate(self.gates):
-            kind = g[0]
-            if kind == "var":
-                if not 1 <= g[1] <= self.n_vars:
-                    raise ValueError(f"gate {idx}: input {g[1]} out of range")
-            elif kind == "const":
-                if g[1] not in (0, 1):
-                    raise ValueError(f"gate {idx}: bad constant")
-            elif kind == "not":
-                if not 0 <= g[1] < idx:
-                    raise ValueError(f"gate {idx}: bad reference")
-            elif kind in ("and", "or", "imp"):
-                if not (0 <= g[1] < idx and 0 <= g[2] < idx):
-                    raise ValueError(f"gate {idx}: bad reference")
-            else:
-                raise ValueError(f"gate {idx}: unknown kind {kind!r}")
+        for x, g in enumerate(self.gates):
+            check_gate(x, g, self.n_vars)
 
     @property
     def output(self) -> int:
         return len(self.gates) - 1
 
-    def size(self) -> int:
-        return len(self.gates)
+
+def _eval_packed(c: Circuit, column: Callable[[int], int], mask: int) -> int:
+    """The output of ``c`` on many assignments at once, one bit each.
+
+    ``column(i)`` packs the value of input ``i`` under every assignment into
+    one integer, ``mask`` has the bit of every assignment set, and the
+    result packs the output the same way.  Each gate's value is freed after
+    its last use, so peak memory follows the circuit's live width rather
+    than its size.
+    """
+    gates = c.gates
+    last_use = list(range(len(gates)))
+    for x, g in enumerate(gates):
+        if g[0] not in ("var", "const"):
+            for ref in g[1:]:
+                last_use[ref] = x
+    vals: dict[int, int] = {}
+    for x, g in enumerate(gates):
+        kind = g[0]
+        if kind == "var":
+            vals[x] = column(g[1])
+            continue
+        if kind == "const":
+            vals[x] = mask if g[1] else 0
+            continue
+        if kind == "not":
+            vals[x] = vals[g[1]] ^ mask
+        elif kind == "and":
+            vals[x] = vals[g[1]] & vals[g[2]]
+        elif kind == "or":
+            vals[x] = vals[g[1]] | vals[g[2]]
+        else:  # imp
+            vals[x] = (vals[g[1]] ^ mask) | vals[g[2]]
+        for ref in set(g[1:]):
+            if last_use[ref] == x:
+                del vals[ref]
+    return vals[len(gates) - 1]
 
 
 def eval_circuit(c: Circuit, a: Sequence[int]) -> bool:
-    """Evaluate under the standard gate semantics (iterative, DAG-sized)."""
+    """The output of ``c`` under one assignment: the one-bit case of the
+    packed evaluator."""
     if len(a) < c.n_vars:
         raise ValueError(f"assignment length {len(a)} < inputs {c.n_vars}")
-    vals = [False] * len(c.gates)
-    for idx, g in enumerate(c.gates):
-        kind = g[0]
-        if kind == "var":
-            vals[idx] = bool(a[g[1] - 1])
-        elif kind == "const":
-            vals[idx] = bool(g[1])
-        elif kind == "not":
-            vals[idx] = not vals[g[1]]
-        elif kind == "and":
-            vals[idx] = vals[g[1]] and vals[g[2]]
-        elif kind == "or":
-            vals[idx] = vals[g[1]] or vals[g[2]]
-        else:  # imp
-            vals[idx] = (not vals[g[1]]) or vals[g[2]]
-    return vals[-1]
+    return _eval_packed(c, lambda i: 1 if a[i - 1] else 0, 1) == 1
+
+
+def _input_column(i: int, n_vars: int) -> int:
+    """Truth table of variable ``i`` (1-based) over all ``2**n_vars``
+    assignments, packed into one integer: assignment ``a`` sits at bit
+    ``a`` and reads variable ``i`` from bit ``i-1`` of ``a``.  Built by
+    width doubling, so cost is linear in the table size."""
+    half = 1 << (i - 1)
+    col = ((1 << half) - 1) << half  # one period: half zeros, half ones
+    width = half * 2
+    total = 1 << n_vars
+    while width < total:
+        col |= col << width
+        width *= 2
+    return col
+
+
+def circuit_truth_table(c: Circuit) -> int:
+    """All ``2**n_vars`` outputs of ``c`` packed into one integer, the
+    output under assignment ``a`` at bit ``a``."""
+    n = c.n_vars
+    return _eval_packed(c, lambda i: _input_column(i, n), (1 << (1 << n)) - 1)
 
 
 def cone(nodes: Sequence[Gate], roots: Iterable[int]) -> list[int]:
@@ -544,63 +596,50 @@ def gate_text(g: Gate) -> str:
     return f"{g[0]} g{g[1]} g{g[2]}"
 
 
-def _gate_ref(tok: str, upto: int, lineno: int) -> int:
+def _gate_ref(tok: str) -> int:
+    """The id ``N`` of a gate reference ``gN``."""
     if not tok.startswith("g"):
-        raise ValueError(f"line {lineno}: expected gate reference, got {tok!r}")
+        raise ValueError(f"expected gate reference, got {tok!r}")
     try:
-        idx = int(tok[1:])
+        return int(tok[1:])
     except ValueError:
-        raise ValueError(f"line {lineno}: bad gate reference {tok!r}") from None
-    if not 0 <= idx < upto:
-        raise ValueError(f"line {lineno}: forward or dangling reference {tok!r}")
-    return idx
+        raise ValueError(f"bad gate reference {tok!r}") from None
 
 
 def parse_gates(text: str) -> Circuit:
+    """Read the format :func:`emit_gates` writes; a malformed line raises
+    ``ValueError`` naming its line number."""
     n_vars = None
     gates: list[Gate] = []
     out: int | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
+        parts = raw.split()
+        if not parts:
             continue
-        parts = line.split()
-        if parts[0] == "inputs":
-            if n_vars is not None or len(parts) != 2:
-                raise ValueError(f"line {lineno}: malformed inputs header")
-            n_vars = int(parts[1])
-            continue
-        if parts[0] == "out":
-            if len(parts) != 2 or n_vars is None:
-                raise ValueError(f"line {lineno}: malformed out line")
-            out = _gate_ref(parts[1], len(gates), lineno)
-            continue
-        if n_vars is None:
-            raise ValueError(f"line {lineno}: gate before inputs header")
-        if out is not None:
-            raise ValueError(f"line {lineno}: content after out line")
-        if len(parts) < 4 or parts[1] != ":=" or parts[0] != f"g{len(gates)}":
-            raise ValueError(f"line {lineno}: malformed gate line")
-        kind = parts[2]
-        args = parts[3:]
-        if kind == "var" and len(args) == 1:
-            i = int(args[0])
-            if not 1 <= i <= n_vars:
-                raise ValueError(f"line {lineno}: input {i} out of range")
-            gates.append(("var", i))
-        elif kind == "const" and len(args) == 1:
-            b = int(args[0])
-            if b not in (0, 1):
-                raise ValueError(f"line {lineno}: bad constant")
-            gates.append(("const", b))
-        elif kind == "not" and len(args) == 1:
-            gates.append(("not", _gate_ref(args[0], len(gates), lineno)))
-        elif kind in ("and", "or", "imp") and len(args) == 2:
-            gates.append(
-                (kind, _gate_ref(args[0], len(gates), lineno), _gate_ref(args[1], len(gates), lineno))
-            )
-        else:
-            raise ValueError(f"line {lineno}: malformed gate line")
+        try:
+            if parts[0] == "inputs":
+                if n_vars is not None or len(parts) != 2:
+                    raise ValueError("malformed inputs header")
+                n_vars = int(parts[1])
+            elif parts[0] == "out":
+                if len(parts) != 2 or n_vars is None or out is not None:
+                    raise ValueError("malformed out line")
+                out = _gate_ref(parts[1])
+                if not 0 <= out < len(gates):
+                    raise ValueError(f"forward or dangling reference {parts[1]!r}")
+            elif n_vars is None:
+                raise ValueError("gate before inputs header")
+            elif out is not None:
+                raise ValueError("content after out line")
+            elif len(parts) < 3 or parts[1] != ":=" or parts[0] != f"g{len(gates)}":
+                raise ValueError("malformed gate line")
+            else:
+                read = int if parts[2] in ("var", "const") else _gate_ref
+                g = (parts[2], *map(read, parts[3:]))
+                check_gate(len(gates), g, n_vars)
+                gates.append(g)
+        except ValueError as e:
+            raise ValueError(f"line {lineno}: {e}") from None
     if n_vars is None or out is None:
         raise ValueError("missing inputs header or out line")
     if out != len(gates) - 1:

@@ -267,7 +267,6 @@ class EncodingArtifact:
 
     formula: Cnf
     layout: PrfLayout
-    family: str
     code: CnfCode | None
     params: dict = field(compare=False, default_factory=dict)
     clause_index: dict = field(compare=False, default_factory=dict)
@@ -301,7 +300,7 @@ def build_prf(m: int, n: int, k: int, code: CnfCode | None = None) -> EncodingAr
         clauses.append(frozenset(lits))
     formula = Cnf(lay.total_vars, tuple(clauses))
     params = {"m": m, "n": n, "k": k, "symbolic": code is None}
-    return EncodingArtifact(formula, lay, "prf", code, params, index)
+    return EncodingArtifact(formula, lay, code, params, index)
 
 
 def _one_hot(bits: Sequence[int], vars_: Sequence[int]) -> int | None:

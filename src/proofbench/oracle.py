@@ -1,4 +1,4 @@
-"""Semantic oracles: truth-table evaluation, DPLL, and minimal-proof search.
+"""Semantic oracles: tautology checking, DPLL, and minimal-proof search.
 
 These are deliberately independent of the encoders and generators in the
 rest of the package — they only consume :mod:`proofbench.core` values — so
@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
-from .core import Circuit, Cnf
+from .core import Circuit, Cnf, circuit_truth_table
 from .resolution import ResolutionProof, check_refutation
 
 
@@ -42,58 +42,7 @@ DEFAULT_BUDGET = SearchBudget()
 
 
 # ---------------------------------------------------------------------------
-# Bit-parallel tautology checking
-
-
-def _input_column(i: int, n_vars: int) -> int:
-    """Truth table of variable ``i`` (1-based) over all ``2**n_vars``
-    assignments, packed into one integer: assignment ``a`` sits at bit
-    ``a`` and reads variable ``i`` from bit ``i-1`` of ``a``.  Built by
-    width doubling, so cost is linear in the table size."""
-    half = 1 << (i - 1)
-    col = ((1 << half) - 1) << half  # one period: half zeros, half ones
-    width = half * 2
-    total = 1 << n_vars
-    while width < total:
-        col |= col << width
-        width *= 2
-    return col
-
-
-def circuit_truth_table(c: Circuit) -> int:
-    """All ``2**n_vars`` outputs of ``c`` packed into one integer.
-
-    Gate tables are freed after their last use, so peak memory follows the
-    circuit's live width rather than its size.
-    """
-    total = 1 << c.n_vars
-    mask = (1 << total) - 1
-    last_use = [idx for idx in range(len(c.gates))]
-    for idx, g in enumerate(c.gates):
-        if g[0] in ("not", "and", "or", "imp"):
-            for ref in g[1:]:
-                last_use[ref] = idx
-    vals: dict[int, int] = {}
-    for idx, g in enumerate(c.gates):
-        kind = g[0]
-        if kind == "var":
-            vals[idx] = _input_column(g[1], c.n_vars)
-        elif kind == "const":
-            vals[idx] = mask if g[1] else 0
-        elif kind == "not":
-            vals[idx] = vals[g[1]] ^ mask
-        elif kind == "and":
-            vals[idx] = vals[g[1]] & vals[g[2]]
-        elif kind == "or":
-            vals[idx] = vals[g[1]] | vals[g[2]]
-        else:  # imp
-            vals[idx] = (vals[g[1]] ^ mask) | vals[g[2]]
-        if kind in ("not", "and", "or", "imp"):
-            for ref in set(g[1:]):
-                if last_use[ref] == idx:
-                    del vals[ref]
-    out = vals[len(c.gates) - 1]
-    return out
+# Tautology checking
 
 
 def is_tautology(c: Circuit, budget: SearchBudget = DEFAULT_BUDGET):

@@ -70,10 +70,6 @@ def refute_prf_nontaut(f: Cnf, a: Sequence[int], m: int) -> ResolutionProof:
         l = cidx[name]
         return emit(g.clauses[l], ("A", l))
 
-    def weakened(name: tuple, clause: frozenset[int]) -> int:
-        l = cidx[name]
-        return emit(clause, ("A", l))
-
     def resolve(j_pos: int, j_neg: int, var: int) -> int:
         c1, c2 = lines[j_pos][0], lines[j_neg][0]
         return emit((c1 - {var}) | (c2 - {-var}), ("R", j_pos, j_neg, var))
@@ -105,10 +101,8 @@ def refute_prf_nontaut(f: Cnf, a: Sequence[int], m: int) -> ResolutionProof:
         acc = download(("alo_s", j))
         for l in range(1, k + 1):
             e, i = true_literal(l)
-            t = weakened(
-                ("c2", j, l, i, e),
-                frozenset([-lay.ax(j), -lay.s(l, j)]) | sj,
-            )
+            # a weakening of the c2 download
+            t = emit(frozenset([-lay.ax(j), -lay.s(l, j)]) | sj, ("A", cidx[("c2", j, l, i, e)]))
             acc = resolve(acc, t, lay.s(l, j))
         return acc
 
@@ -125,7 +119,6 @@ def refute_prf_nontaut(f: Cnf, a: Sequence[int], m: int) -> ResolutionProof:
         for side in ("L", "R"):
             u_lines = []
             for jp in range(1, j):
-                arc = lay.L(jp, j) if side == "L" else lay.R(jp, j)
                 acc = s_line[jp]
                 for i in range(1, n + 1):
                     e = a[i - 1]

@@ -31,11 +31,12 @@ from proofbench.cfrege import (
 from proofbench.core import (
     Circuit,
     CircuitBuilder,
+    circuit_truth_table,
     cnf,
     eval_circuit,
 )
 from proofbench.encoder import build_lrfn, build_rfn
-from proofbench.oracle import circuit_truth_table, is_tautology
+from proofbench.oracle import is_tautology
 
 PAIR = cnf(1, [[1], [-1]])
 
@@ -228,6 +229,9 @@ def test_malformed_line_is_a_failing_report():
         ("not", 0.5),
         ("not", 1.0),  # an id equal to an int is still no int
         ("var", True),
+        ["and", 0, 0],  # a list is no gate
+        ("const", True),
+        ("const", 1.0),
     ],
 )
 def test_malformed_arena_is_a_failing_report(gate):
@@ -240,6 +244,9 @@ def test_malformed_arena_is_a_failing_report(gate):
     arena.nodes.append(gate(me) if callable(gate) else gate)
     report = cf_check(CfProof(arena, ((true, ("schema", 9, ())), (me, ("canon", 0)))))
     assert not report.ok and report.step == 1 and "malformed arena" in report.reason
+    assert f"gate {me}" in report.reason
+    with pytest.raises(ValueError, match=f"gate {me}"):
+        Circuit(1, tuple(arena.nodes))
 
 
 # Gates of the right shape over small ids, most of them well formed, and
@@ -278,6 +285,45 @@ def test_random_arena_gates_get_a_report(gates, rule):
         assert _tt(arena.build(line[0])) == 0b1111
     else:
         assert report.step == 1
+
+
+# Besides RANDOM_GATES, the shapes a gate list may hold by mistake: empty
+# and list-shaped gates, and bool or float fields, most of them equal to a
+# valid int.
+FIELDS = st.one_of(st.booleans(), st.sampled_from((0.0, 1.0, 2.0, 0.5)), st.integers(0, 4))
+ANY_GATES = st.one_of(
+    RANDOM_GATES,
+    RANDOM_GATES.map(list),
+    st.just(()),
+    st.tuples(st.sampled_from(("var", "const", "not")), FIELDS),
+    st.tuples(st.sampled_from(("and", "or", "imp")), FIELDS, FIELDS),
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(gates=st.lists(ANY_GATES, min_size=1, max_size=6))
+def test_circuit_and_cf_check_refuse_the_same_gates(gates):
+    # One gate rule: appending a gate to a valid gate list makes a Circuit
+    # exactly when cf_check of a line naming that gate finds no malformed
+    # arena.  Accepted gates stay, so on ever larger Circuits the one-bit
+    # evaluator must read the packed truth table.
+    arena = CircuitBuilder(2)
+    true = arena.const(1)
+    arena.imp(arena.var(1), arena.not_(arena.var(2)))
+    for g in gates:
+        x = len(arena.nodes)
+        arena.nodes.append(g)
+        report = cf_check(CfProof(arena, ((true, ("schema", 9, ())), (x, ("canon", 0)))))
+        try:
+            c = Circuit(2, tuple(arena.nodes))
+        except ValueError:
+            assert "malformed arena" in report.reason
+            arena.nodes.pop()
+            continue
+        assert report.ok or "malformed arena" not in report.reason
+        table = circuit_truth_table(c)
+        for a in range(4):
+            assert eval_circuit(c, (a & 1, a >> 1)) == bool(table >> a & 1)
 
 
 # ---------------------------------------------------------------------------

@@ -170,6 +170,8 @@ def test_encode_rejects_mismatched_dimensions(tmp_path, capsys):
         ["encode", "clique-color", "--k", "0", "--vertices", "2", "--out", "OUT", "--out2", "OUT"],
         ["encode", "con", "--m", "1", "--n", "-1", "--out", "OUT"],
         ["experiment", "lrfn-nontaut", "--count", "1", "--m", "8,8", "--n", "2", "--k", "2"],
+        ["experiment", "lrfn-nontaut", "--n", "x"],
+        ["experiment", "am-roundtrip", "--n", "x"],
     ],
 )
 def test_bad_parameter_is_exit_two(tmp_path, capsys, argv):
@@ -227,14 +229,22 @@ def test_every_public_name_has_a_program_caller():
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
+    # Each public def and class, and each public method, property and
+    # annotated field of those classes.
+    names = []
+    for path in sorted(pkg.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.append((f"{path.stem}.{node.name}", node.name))
+            for m in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(m, ast.FunctionDef):
+                    names.append((f"{path.stem}.{node.name}.{m.name}", m.name))
+                elif isinstance(m, ast.AnnAssign) and isinstance(m.target, ast.Name):
+                    names.append((f"{path.stem}.{node.name}.{m.target.id}", m.target.id))
     unused = [
-        f"{path.stem}.{node.name}"
-        for path in sorted(pkg.glob("*.py"))
-        for node in ast.parse(path.read_text()).body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
-        and node.name not in used
-        and node.name not in NO_PROGRAM_CALLER
+        qual
+        for qual, name in names
+        if not name.startswith("_") and name not in used and name not in NO_PROGRAM_CALLER
     ]
     assert unused == []
 

@@ -13,6 +13,7 @@ from proofbench.core import (
     CircuitBuilder,
     Cnf,
     CnfCode,
+    circuit_truth_table,
     cnf,
     code_pos,
     decode_cnf,
@@ -21,7 +22,6 @@ from proofbench.core import (
     eval_circuit,
     eval_cnf,
     instantiate_template,
-    is_normalized_code,
 )
 from proofbench.encoder import (
     PolyBudget,
@@ -41,7 +41,7 @@ from proofbench.encoder import (
     decode_prf_assignment,
     map_text,
 )
-from proofbench.oracle import circuit_truth_table, dpll_refute, dpll_sat, is_tautology
+from proofbench.oracle import dpll_refute, dpll_sat, is_tautology
 from proofbench.proofgen import encode_witness, refute_prf_nontaut
 from proofbench.resolution import check_refutation
 
@@ -149,8 +149,7 @@ def test_sat_agrees_with_eval_cnf_exhaustively():
                     bits[code_pos(0, i, l, n, k)] = c0
                     bits[code_pos(1, i, l, n, k)] = c1
             code = CnfCode(n, k, tuple(bits))
-            assert is_normalized_code(code)
-            f = decode_cnf(code)
+            f = decode_cnf(code)  # strict: raises on a non-normalized code
             for z in itertools.product((0, 1), repeat=n):
                 row = int_from_bits(tuple(bits) + z)
                 assert ((table >> row) & 1) == int(eval_cnf(f, z))

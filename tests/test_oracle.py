@@ -11,11 +11,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from proofbench import oracle
-from proofbench.core import Circuit, CircuitBuilder, Cnf, cnf, encode_cnf, eval_cnf
+from proofbench.core import (
+    Circuit,
+    CircuitBuilder,
+    Cnf,
+    circuit_truth_table,
+    cnf,
+    encode_cnf,
+    eval_circuit,
+    eval_cnf,
+)
 from proofbench.encoder import build_php, build_prf, build_rfn, decode_prf_assignment
 from proofbench.oracle import (
     SearchBudget,
-    circuit_truth_table,
     dpll_refute,
     dpll_sat,
     is_tautology,
@@ -543,8 +551,6 @@ def test_tautology_versus_clausified_negation():
             res = dpll_sat(g)
             assert res[0] == "sat"
             # the model's projection to circuit inputs falsifies c
-            from proofbench.core import eval_circuit
-
             assert eval_circuit(c, res[1][: c.n_vars]) is False
             agree_no += 1
     assert agree_yes >= 5 and agree_no >= 5
@@ -552,8 +558,6 @@ def test_tautology_versus_clausified_negation():
 
 def test_truth_table_matches_eval():
     rng = random.Random(11)
-    from proofbench.core import eval_circuit
-
     for _ in range(40):
         c = _random_circuit(rng, rng.randint(1, 6), rng.randint(1, 10))
         table = circuit_truth_table(c)
