@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 import gc
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 
 # ---------------------------------------------------------------------------
@@ -319,14 +319,15 @@ class Circuit:
         return len(self.gates) - 1
 
 
-def _eval_packed(c: Circuit, column: Callable[[int], int], mask: int) -> int:
-    """The output of ``c`` on many assignments at once, one bit each.
+def _eval_packed(c: Circuit, inputs: Iterable[tuple[Callable[[int], int], int]]) -> Iterator[int]:
+    """The output of ``c`` on many assignments at once, one bit each, for
+    each ``(column, mask)`` of ``inputs`` in turn.
 
     ``column(i)`` packs the value of input ``i`` under every assignment into
-    one integer, ``mask`` has the bit of every assignment set, and the
+    one integer, ``mask`` has the bit of every assignment set, and each
     result packs the output the same way.  Each gate's value is freed after
     its last use, so peak memory follows the circuit's live width rather
-    than its size.
+    than its size; the last uses are worked out once for all the inputs.
     """
     gates = c.gates
     last_use = list(range(len(gates)))
@@ -334,27 +335,31 @@ def _eval_packed(c: Circuit, column: Callable[[int], int], mask: int) -> int:
         if g[0] not in ("var", "const"):
             for ref in g[1:]:
                 last_use[ref] = x
-    vals: dict[int, int] = {}
-    for x, g in enumerate(gates):
-        kind = g[0]
-        if kind == "var":
-            vals[x] = column(g[1])
-            continue
-        if kind == "const":
-            vals[x] = mask if g[1] else 0
-            continue
-        if kind == "not":
-            vals[x] = vals[g[1]] ^ mask
-        elif kind == "and":
-            vals[x] = vals[g[1]] & vals[g[2]]
-        elif kind == "or":
-            vals[x] = vals[g[1]] | vals[g[2]]
-        else:  # imp
-            vals[x] = (vals[g[1]] ^ mask) | vals[g[2]]
-        for ref in set(g[1:]):
-            if last_use[ref] == x:
-                del vals[ref]
-    return vals[len(gates) - 1]
+    dying: list[list[int]] = [[] for _ in gates]
+    for ref, x in enumerate(last_use):
+        if x != ref:
+            dying[x].append(ref)
+    for column, mask in inputs:
+        vals = [0] * len(gates)
+        for x, g in enumerate(gates):
+            kind = g[0]
+            if kind == "var":
+                vals[x] = column(g[1])
+                continue
+            if kind == "const":
+                vals[x] = mask if g[1] else 0
+                continue
+            if kind == "not":
+                vals[x] = vals[g[1]] ^ mask
+            elif kind == "and":
+                vals[x] = vals[g[1]] & vals[g[2]]
+            elif kind == "or":
+                vals[x] = vals[g[1]] | vals[g[2]]
+            else:  # imp
+                vals[x] = (vals[g[1]] ^ mask) | vals[g[2]]
+            for ref in dying[x]:
+                vals[ref] = 0
+        yield vals[-1]
 
 
 def eval_circuit(c: Circuit, a: Sequence[int]) -> bool:
@@ -362,7 +367,7 @@ def eval_circuit(c: Circuit, a: Sequence[int]) -> bool:
     packed evaluator."""
     if len(a) < c.n_vars:
         raise ValueError(f"assignment length {len(a)} < inputs {c.n_vars}")
-    return _eval_packed(c, lambda i: 1 if a[i - 1] else 0, 1) == 1
+    return next(_eval_packed(c, [(lambda i: 1 if a[i - 1] else 0, 1)])) == 1
 
 
 def _input_column(i: int, n_vars: int) -> int:
@@ -380,11 +385,25 @@ def _input_column(i: int, n_vars: int) -> int:
     return col
 
 
-def circuit_truth_table(c: Circuit) -> int:
-    """All ``2**n_vars`` outputs of ``c`` packed into one integer, the
-    output under assignment ``a`` at bit ``a``."""
+# Assignments per truth-table chunk, as a power of two: a 16 KB integer per
+# live gate stays in cache, where a whole 22-input table is 512 KB per gate.
+TABLE_CHUNK_BITS = 17
+
+
+def truth_table_chunks(c: Circuit) -> Iterator[int]:
+    """The truth table of ``c`` in order, ``2**min(n_vars, TABLE_CHUNK_BITS)``
+    assignments per chunk: bit ``r`` of chunk ``j`` is the output under
+    assignment ``j * width + r``.  Within a chunk the low inputs take their
+    periodic columns and the others are constant."""
     n = c.n_vars
-    return _eval_packed(c, lambda i: _input_column(i, n), (1 << (1 << n)) - 1)
+    b = min(n, TABLE_CHUNK_BITS)
+    mask = (1 << (1 << b)) - 1
+    low = [_input_column(i, b) for i in range(1, b + 1)]
+
+    def chunk(j: int) -> Callable[[int], int]:
+        return lambda i: low[i - 1] if i <= b else mask * (j >> (i - 1 - b) & 1)
+
+    return _eval_packed(c, ((chunk(j), mask) for j in range(1 << (n - b))))
 
 
 def cone(nodes: Sequence[Gate], roots: Iterable[int]) -> list[int]:
@@ -523,6 +542,9 @@ def parse_dimacs(text: str) -> Cnf:
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
+        if not line.isascii() or "_" in line or "+" in line:
+            # int() reads these, but the emitters never write them
+            raise ValueError(f"line {lineno}: bad number in {line!r}")
         if line.startswith("p"):
             if n is not None:
                 raise ValueError(f"line {lineno}: duplicate header")
@@ -617,6 +639,8 @@ def parse_gates(text: str) -> Circuit:
         if not parts:
             continue
         try:
+            if not raw.isascii() or "_" in raw or "+" in raw:
+                raise ValueError(f"bad number in {raw!r}")
             if parts[0] == "inputs":
                 if n_vars is not None or len(parts) != 2:
                     raise ValueError("malformed inputs header")

@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
-from .core import Circuit, Cnf, circuit_truth_table
+from .core import TABLE_CHUNK_BITS, Circuit, Cnf, truth_table_chunks
 from .resolution import ResolutionProof, check_refutation
 
 
@@ -20,11 +20,13 @@ from .resolution import ResolutionProof, check_refutation
 class SearchBudget:
     """Caps for the exhaustive procedures below.
 
-    ``max_assignments`` bounds truth-table size, ``max_nodes`` bounds search
-    tree nodes, and ``max_seconds`` is a wall-clock cutoff.  A cutoff of
-    ``None`` reads ``PROOFBENCH_MAX_SECONDS`` and, when that is unset or
-    empty, means 60 seconds: every search has a clock cap.  Hitting any cap
-    yields an explicit ``'exhausted'`` outcome, never a silent wrong answer.
+    ``max_assignments`` bounds truth-table size, ``max_nodes`` bounds the
+    search tree nodes of one call (summed over all its searches), and
+    ``max_seconds`` is a wall-clock cutoff, checked at each search node and
+    between the chunks of a truth table.  A cutoff of ``None`` reads
+    ``PROOFBENCH_MAX_SECONDS`` and, when that is unset or empty, means 60
+    seconds: every search has a clock cap.  Hitting any cap yields an
+    explicit ``'exhausted'`` outcome, never a silent wrong answer.
     """
 
     max_assignments: int = 1 << 24
@@ -49,23 +51,26 @@ def is_tautology(c: Circuit, budget: SearchBudget = DEFAULT_BUDGET):
     """('yes',) | ('no', counterexample) | ('exhausted',).
 
     Exhaustive over all assignments, evaluated bit-parallel on Python
-    integers; a counterexample is the lowest falsifying assignment.
+    integers one chunk of the truth table at a time (see
+    :func:`~proofbench.core.truth_table_chunks`).  The first chunk with a
+    zero ends the search, and its lowest zero is the lowest falsifying
+    assignment, the counterexample.
     """
-    total = 1 << c.n_vars
-    if total > budget.max_assignments:
+    n = c.n_vars
+    if 1 << n > budget.max_assignments:
         return ("exhausted",)
     deadline = budget.deadline()
-    table = circuit_truth_table(c)
-    if time.monotonic() > deadline:
-        return ("exhausted",)
-    mask = (1 << total) - 1
-    missing = table ^ mask
-    if missing == 0:
-        return ("yes",)
-    a = missing & -missing  # lowest zero of the table
-    idx = a.bit_length() - 1
-    assignment = tuple((idx >> i) & 1 for i in range(c.n_vars))
-    return ("no", assignment)
+    width = 1 << min(n, TABLE_CHUNK_BITS)
+    mask = (1 << width) - 1
+    last = (1 << n) // width - 1
+    for j, chunk in enumerate(truth_table_chunks(c)):
+        missing = chunk ^ mask
+        if missing:
+            idx = j * width + (missing & -missing).bit_length() - 1
+            return ("no", tuple((idx >> i) & 1 for i in range(n)))
+        if j < last and time.monotonic() > deadline:
+            return ("exhausted",)
+    return ("yes",)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +286,7 @@ def min_refutation_length(
     max_lines: int,
     budget: SearchBudget = DEFAULT_BUDGET,
 ):
-    """Exact minimal refutation length by iterative deepening.
+    """Exact minimal refutation length by a descending search.
 
     Returns one of::
 
@@ -298,12 +303,27 @@ def min_refutation_length(
     space only, and its witness checks in strict mode, so in weakening mode
     too.
 
+    Descending search.  A search at ``limit`` finds a refutation exactly
+    when one of at most ``limit`` lines exists, so the first runs at
+    ``max_lines``, each find of ``l`` lines is followed by a search at
+    ``l - 1``, and the last length found is the minimum ``L``.  Why: at
+    ``limit = L`` the prunes below keep one minimal refutation, and a search
+    at a larger limit visits every node of the search at ``L`` in the same
+    relative order.  The prunes that read the limit (the unused-line and
+    width caps, and dropping candidate buckets too wide for the lines left)
+    only get looser as it grows; the buckets narrower than the lines left
+    at ``L`` hold the same clauses, first justifications and order at both
+    limits; and wider buckets are tried after them.  The last find, of
+    ``L`` lines at some limit ``K >= L``, is also the witness the search at
+    ``L`` returns, whatever ``max_lines`` is: being minimal, it passes the
+    prunes that read the limit at ``L`` too, so it is a leaf of that
+    search, and an earlier leaf there would have been found first at ``K``.
+
     Search-space prunes.  Below, a *minimal* refutation is a tight one of
     the least length ``L``; its clauses are pairwise distinct, and every
     non-final line is a premise of a later one whatever justification each
-    line is given (else dropping it leaves a shorter refutation).  Iterative
-    deepening only searches at ``limit = L`` once every smaller limit has
-    failed, so the prunes need to keep one minimal refutation:
+    line is given (else dropping it leaves a shorter refutation).  The
+    prunes need to keep one minimal refutation at ``limit = L``:
 
     * candidate equal to or a superset of an earlier line: dropping the
       later line, pointing its uses at the earlier one and shrinking as
@@ -320,8 +340,8 @@ def min_refutation_length(
       one, so a clause needs as many following lines as it has literals to
       reach the empty clause (true of every line of a minimal refutation,
       each of which is used);
-    * unused-line cap: at the current depth limit every non-final line must
-      feed a later one; each added line consumes at most two unused lines
+    * unused-line cap: at ``limit = L`` every non-final line must feed a
+      later one; each added line consumes at most two unused lines
       while itself needing consumption, so ``u`` unused lines with ``r``
       slots left are hopeless once ``u > r + 1``;
     * one justification per clause: a clause with several justifications
@@ -459,7 +479,8 @@ def min_refutation_length(
             v + 1 if v < n else n - v - 1 for v in range(2 * n) if c >> v & 1
         )
 
-    for limit in range(1, max_lines + 1):
+    found, limit = None, max_lines
+    while limit >= 1:
         pool = [{} for _ in range(limit)]
         for c in axioms:
             if c.bit_count() < limit:
@@ -467,13 +488,14 @@ def min_refutation_length(
         res = search([], [], pool, 0, limit)
         if exhausted:
             return ("exhausted",)
-        if res is not None:
-            derived, justs = res
-            if len(derived) != limit:
-                raise RuntimeError("shorter refutation missed earlier")
-            proof = ResolutionProof(f, tuple(zip(map(unpack, derived), justs)))
-            rep = check_refutation(f, proof, mode="strict")
-            if not rep.ok:
-                raise RuntimeError(f"minimal witness fails strict check: {rep.reason}")
-            return ("found", limit, proof)
-    return ("none-up-to", max_lines)
+        if res is None:
+            break
+        found, limit = res, len(res[0]) - 1
+    if found is None:
+        return ("none-up-to", max_lines)
+    derived, justs = found
+    proof = ResolutionProof(f, tuple(zip(map(unpack, derived), justs)))
+    rep = check_refutation(f, proof, mode="strict")
+    if not rep.ok:
+        raise RuntimeError(f"minimal witness fails strict check: {rep.reason}")
+    return ("found", len(derived), proof)

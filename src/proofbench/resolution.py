@@ -329,6 +329,9 @@ def parse_proof(text: str, target: Cnf) -> ResolutionProof:
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
+        if not line.isascii() or "_" in line or "+" in line:
+            # int() reads these, but emit_proof never writes them
+            raise ValueError(f"line {lineno}: bad number in {line!r}")
         head, _, tail = line.partition(":")
         parts = head.split()
         if not parts:

@@ -31,7 +31,8 @@ from proofbench.cfrege import (
 from proofbench.core import (
     Circuit,
     CircuitBuilder,
-    circuit_truth_table,
+    _eval_packed,
+    _input_column,
     cnf,
     eval_circuit,
 )
@@ -42,7 +43,10 @@ PAIR = cnf(1, [[1], [-1]])
 
 
 def _tt(c: Circuit) -> int:
-    return circuit_truth_table(c)
+    """All ``2**n_vars`` outputs of ``c`` in one integer, the output under
+    assignment ``a`` at bit ``a``: the packed evaluator on the whole table."""
+    n = c.n_vars
+    return next(_eval_packed(c, [(lambda i: _input_column(i, n), (1 << (1 << n)) - 1)]))
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +325,7 @@ def test_circuit_and_cf_check_refuse_the_same_gates(gates):
             arena.nodes.pop()
             continue
         assert report.ok or "malformed arena" not in report.reason
-        table = circuit_truth_table(c)
+        table = _tt(c)
         for a in range(4):
             assert eval_circuit(c, (a & 1, a >> 1)) == bool(table >> a & 1)
 

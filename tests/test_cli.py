@@ -303,7 +303,15 @@ def test_check_parse_and_io_errors_are_exit_two(tmp_path, capsys):
     assert capsys.readouterr().err.count("error:") == 2
 
 
-@pytest.mark.parametrize("text, lineno", [("A x\n", 1), ("A 0\nR 0 y 1 : 1\n", 2)])
+@pytest.mark.parametrize(
+    "text, lineno",
+    [
+        ("A x\n", 1),
+        ("A 0\nR 0 y 1 : 1\n", 2),
+        ("A 0\nA 1\nR 0 1 1_0 :\n", 3),
+        ("A +0\n", 1),
+    ],
+)
 def test_check_parse_error_names_the_line(tmp_path, capsys, text, lineno):
     src = _write_pair(tmp_path)
     prf = tmp_path / "p.res"

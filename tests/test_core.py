@@ -175,6 +175,9 @@ def test_parse_dimacs_comments_and_layout():
         "p cnf 1 1\n2 0\n",
         "p cnf 1 1\n1\n",
         "1 0\n",
+        "p cnf 12 1\n1_0 \u0661 0\n",
+        "p cnf 1 1\n+1 0\n",
+        "p cnf +1 1\n1 0\n",
     ],
 )
 def test_parse_dimacs_errors(text):
@@ -318,6 +321,10 @@ def test_gate_list_rejects_forward_reference():
         ("inputs 1\ng0 := var 1\ng1 := var 2\nout g1\n", 3),
         ("inputs 1\ng0 := const 1\ng1 := and g0\nout g1\n", 3),
         ("inputs 1\ng0 := var 1\nout g0\nout g0\n", 4),
+        ("inputs 12\ng0 := var 1_0\nout g0\n", 2),
+        ("inputs 1\ng0 := var \u0661\nout g0\n", 2),
+        ("inputs 1\ng0 := var +1\nout g0\n", 2),
+        ("inputs 1\ng0 := var 1\ng1 := not g+0\nout g1\n", 3),
     ],
 )
 def test_gate_list_errors_name_their_line(text, line):

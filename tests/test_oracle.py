@@ -15,7 +15,9 @@ from proofbench.core import (
     Circuit,
     CircuitBuilder,
     Cnf,
-    circuit_truth_table,
+    TABLE_CHUNK_BITS,
+    _eval_packed,
+    _input_column,
     cnf,
     encode_cnf,
     eval_circuit,
@@ -36,6 +38,58 @@ PAIR = cnf(1, [[1], [-1]])
 
 # ---------------------------------------------------------------------------
 # is_tautology
+
+
+def _truth_table(c: Circuit) -> int:
+    """All ``2**n_vars`` outputs of ``c`` in one integer, the output under
+    assignment ``a`` at bit ``a``: the packed evaluator on the whole table."""
+    n = c.n_vars
+    return next(_eval_packed(c, [(lambda i: _input_column(i, n), (1 << (1 << n)) - 1)]))
+
+
+def _falsified_only_at(b: CircuitBuilder, n: int, idx: int) -> int:
+    """A gate false exactly under assignment ``idx``: the disjunction of
+    the literals that assignment falsifies."""
+    out = b.const(0)
+    for i in range(1, n + 1):
+        lit = b.not_(b.var(i)) if idx >> (i - 1) & 1 else b.var(i)
+        out = b.or_(out, lit)
+    return out
+
+
+@pytest.mark.parametrize("n", [0] + [TABLE_CHUNK_BITS + d for d in (-1, 0, 1, 3)])
+def test_tautology_counterexample_across_chunks(n):
+    # The falsifying assignments sit in the first and the last chunk and on
+    # each side of a chunk edge; the answer is the lowest zero of the whole
+    # table, computed here in one piece.
+    total = 1 << n
+    width = 1 << min(n, TABLE_CHUNK_BITS)
+    spots = {0, 5 % total, total - 1, width - 1, width % total, (3 * width - 2) % total}
+    cases = [(s,) for s in sorted(spots)] + [(width + 7, 2 * width), (total - 1, width)]
+    for zeros in cases:
+        zeros = [z for z in zeros if z < total]
+        if not zeros:
+            continue
+        b = CircuitBuilder(n)
+        out = b.const(1)
+        for z in zeros:
+            out = b.and_(out, _falsified_only_at(b, n, z))
+        c = b.build(out)
+        table = _truth_table(c)
+        missing = table ^ ((1 << total) - 1)
+        low = (missing & -missing).bit_length() - 1
+        assert low == min(zeros)
+        want = ("no", tuple(low >> i & 1 for i in range(n)))
+        assert is_tautology(c) == want, zeros
+        assert is_tautology(c, SearchBudget(max_assignments=total)) == want
+        assert is_tautology(c, SearchBudget(max_assignments=total - 1)) == ("exhausted",)
+
+
+def test_tautology_clock_is_checked_between_chunks():
+    b = CircuitBuilder(TABLE_CHUNK_BITS + 1)
+    c = b.build(b.or_(b.var(1), b.not_(b.var(1))))
+    assert is_tautology(c) == ("yes",)
+    assert is_tautology(c, SearchBudget(max_seconds=0)) == ("exhausted",)
 
 
 def test_excluded_middle_is_tautology():
@@ -446,7 +500,8 @@ def _small_unsat_cnfs(rng, count):
 
 def test_min_length_matches_unpruned_reference():
     # The pruned search must agree with a search that prunes nothing: the
-    # same shortest length, and a certified "none" one line below it.
+    # same shortest length, also when allowed three lines more, with the
+    # same witness, and a certified "none" one line below it.
     rng = random.Random(3)
     lengths = []
     for f in [PAIR, build_php(2, 1)] + _small_unsat_cnfs(rng, 150):
@@ -454,9 +509,33 @@ def test_min_length_matches_unpruned_reference():
         got = min_refutation_length(f, want)
         assert got[:2] == ("found", want), f.clauses
         assert check_refutation(f, got[2], mode="strict").ok
+        roomy = min_refutation_length(f, want + 3)
+        assert roomy[:2] == ("found", want), f.clauses
+        assert emit_proof(roomy[2]) == emit_proof(got[2])
         assert min_refutation_length(f, want - 1) == ("none-up-to", want - 1), f.clauses
         lengths.append(want)
     assert max(lengths) >= 9  # deep enough for the order and line-count prunes
+
+
+def test_min_length_answers_are_pinned():
+    # Answers and witness bytes with ``max_lines`` at, below and well above
+    # the minimum: the unsatisfiable-pair ladder of criterion 5 (minimum 11
+    # at n = 1, none up to 10 at n = 2), PHP(2,1) (minimum 5) and seeded
+    # small CNFs.  sha256 prefix of the answers, witnesses as proof text.
+    def pair(n):
+        f = cnf(n, [[i] for i in range(1, n + 1)] + [[-i] for i in range(1, n + 1)])
+        return build_prf(1, n, 2 * n, encode_cnf(f, strict=False)).formula
+
+    cases = [(pair(1), limit) for limit in range(1, 12)]
+    cases += [(pair(2), limit) for limit in range(1, 11)]
+    cases += [(build_php(2, 1), limit) for limit in (4, 5, 8, 12)]
+    cases += [(f, limit) for f in _small_unsat_cnfs(random.Random(29), 12) for limit in (3, 6, 9)]
+    answers = []
+    for f, limit in cases:
+        res = min_refutation_length(f, limit)
+        answers.append(res[:2] + (emit_proof(res[2]),) if res[0] == "found" else res)
+    digest = hashlib.sha256(repr(answers).encode()).hexdigest()[:16]
+    assert digest == "8d9929f47b8bc927"
 
 
 def test_min_length_witness_check_survives_optimization(monkeypatch):
@@ -560,7 +639,7 @@ def test_truth_table_matches_eval():
     rng = random.Random(11)
     for _ in range(40):
         c = _random_circuit(rng, rng.randint(1, 6), rng.randint(1, 10))
-        table = circuit_truth_table(c)
+        table = _truth_table(c)
         for x in range(1 << c.n_vars):
             bits = [(x >> i) & 1 for i in range(c.n_vars)]
             assert ((table >> x) & 1) == int(eval_circuit(c, bits))

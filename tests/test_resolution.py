@@ -327,6 +327,16 @@ def test_forward_reference_rejected():
         parse_proof("R 2 1 1 :\n", PAIR)
 
 
+@pytest.mark.parametrize(
+    "text, lineno",
+    [("A 0\nA 1\nR 0 1 \u0661 :\n", 3), ("A 0\nA 1\nR 0 1 1 : 1_0\n", 3), ("A +1\n", 1)],
+)
+def test_numbers_emit_proof_never_writes_are_refused(text, lineno):
+    # int() reads non-ASCII digits, "_" separators and "+" signs
+    with pytest.raises(ValueError, match=f"line {lineno}: bad number"):
+        parse_proof(text, PAIR)
+
+
 def test_weakened_axiom_line_grammar():
     f = cnf(2, [[1]])
     proof = parse_proof("A 0 : 1 2\n", f)
