@@ -637,8 +637,11 @@ def cf_prove_rfn_res(m: int, n: int, k: int, check: bool = True) -> CfProof:
 
     With ``check`` the finished proof passes :func:`cf_check` before it is
     returned (a rejection raises ``RuntimeError``); ``check=False`` returns
-    it unchecked, for the caller to check.
+    it unchecked, for the caller to check.  A coded CNF needs a clause:
+    ``k < 1`` raises ``ValueError``, like the layout's own range checks.
     """
+    if k < 1:
+        raise ValueError("rfn proof needs k >= 1 source clauses")
     lay = PrfLayout(m, n, k, symbolic=True)
     w = _Writer(CircuitBuilder(lay.total_vars + n))
     b = w.arena

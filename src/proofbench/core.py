@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import gc
+import re
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -532,9 +533,40 @@ class CircuitBuilder:
 # DIMACS
 
 
+# A number with a leading zero: a "0", then a digit, after no digit.
+_LEADING_ZERO = re.compile(r"0[0-9](?<![0-9]0[0-9])")
+
+
+def _odd_numbers(text: str) -> bool:
+    """Whether ``text`` spells a number in a way that ``int`` reads but no
+    emitter writes: with a non-ASCII character (``int`` reads the digits
+    of other scripts), ``_``, ``+``, ``-0`` or a leading zero."""
+    return (
+        not text.isascii()
+        or "_" in text
+        or "+" in text
+        or "-0" in text
+        or _LEADING_ZERO.search(text) is not None
+    )
+
+
+def check_numbers(text: str, comment: str | None = None) -> None:
+    """Raise ``ValueError`` naming the first line of ``text`` that spells a
+    number the way no emitter does (see :func:`_odd_numbers`); lines that
+    start with ``comment`` may hold anything.  One scan covers the whole
+    text, and its lines are looked at only after a hit."""
+    if not _odd_numbers(text):
+        return
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not (comment and line.startswith(comment)) and _odd_numbers(raw):
+            raise ValueError(f"line {lineno}: bad number in {line!r}")
+
+
 @nogc
 def parse_dimacs(text: str) -> Cnf:
     """Parse standard DIMACS CNF (``c`` comments allowed, one header line)."""
+    check_numbers(text, "c")
     n = k = None
     clauses: list[frozenset[int]] = []
     cur: list[int] = []
@@ -542,9 +574,6 @@ def parse_dimacs(text: str) -> Cnf:
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
-        if not line.isascii() or "_" in line or "+" in line:
-            # int() reads these, but the emitters never write them
-            raise ValueError(f"line {lineno}: bad number in {line!r}")
         if line.startswith("p"):
             if n is not None:
                 raise ValueError(f"line {lineno}: duplicate header")
@@ -631,6 +660,7 @@ def _gate_ref(tok: str) -> int:
 def parse_gates(text: str) -> Circuit:
     """Read the format :func:`emit_gates` writes; a malformed line raises
     ``ValueError`` naming its line number."""
+    check_numbers(text)
     n_vars = None
     gates: list[Gate] = []
     out: int | None = None
@@ -639,8 +669,6 @@ def parse_gates(text: str) -> Circuit:
         if not parts:
             continue
         try:
-            if not raw.isascii() or "_" in raw or "+" in raw:
-                raise ValueError(f"bad number in {raw!r}")
             if parts[0] == "inputs":
                 if n_vars is not None or len(parts) != 2:
                     raise ValueError("malformed inputs header")

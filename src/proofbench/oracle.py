@@ -309,9 +309,9 @@ def min_refutation_length(
     ``l - 1``, and the last length found is the minimum ``L``.  Why: at
     ``limit = L`` the prunes below keep one minimal refutation, and a search
     at a larger limit visits every node of the search at ``L`` in the same
-    relative order.  The prunes that read the limit (the unused-line and
-    width caps, and dropping candidate buckets too wide for the lines left)
-    only get looser as it grows; the buckets narrower than the lines left
+    relative order.  The prunes that read the limit (the slack and width
+    caps, and dropping candidate buckets too wide for the lines left) only
+    get looser as it grows; the buckets narrower than the lines left
     at ``L`` hold the same clauses, first justifications and order at both
     limits; and wider buckets are tried after them.  The last find, of
     ``L`` lines at some limit ``K >= L``, is also the witness the search at
@@ -340,13 +340,26 @@ def min_refutation_length(
       one, so a clause needs as many following lines as it has literals to
       reach the empty clause (true of every line of a minimal refutation,
       each of which is used);
-    * unused-line cap: at ``limit = L`` every non-final line must feed a
-      later one; each added line consumes at most two unused lines
-      while itself needing consumption, so ``u`` unused lines with ``r``
-      slots left are hopeless once ``u > r + 1``;
+    * slack cap: at ``limit = L`` every non-final line must feed a later
+      one, so a prefix with ``u`` unused lines and ``r`` lines left must
+      end with one unused line, the final one.  Its slack ``s = r + 1 - u``
+      must so reach 0, and no further line adds to it: a download, or a
+      resolvent of two used lines, costs 2, a resolvent with one used
+      premise 1, and a resolvent of two unused lines 0.  So ``s < 0`` is
+      hopeless.  A literal of an
+      unused line must also be resolved away on the way to the empty
+      clause, against a line that holds its complement; following that
+      line's premises back ends at a current line or a later download.
+      With ``s = 1`` no download fits, so every literal of the unused
+      lines needs its complement in some current line.  With ``s = 0``
+      every further line resolves two lines unused at its turn, and a line
+      still unused then is unused now, so the complement must lie in the
+      unused lines.  A larger limit raises ``s``, and the test at ``s = 1``
+      is weaker than at ``s = 0``, so this prune too only gets looser as
+      the limit grows;
     * one justification per clause: a clause with several justifications
       is tried once, with the first one found.  That choice decides which
-      lines count as used, but the unused-line cap holds for a minimal
+      lines count as used, but the slack cap holds for a minimal
       refutation under any choice; the other prunes look at clauses only;
     * order on adjacent independent lines: a line derivable without the
       line just before it must come after that line in a fixed total order
@@ -411,12 +424,14 @@ def min_refutation_length(
     nodes = 0
     exhausted = False
 
-    def search(lines, justs, pool, used, remaining):
+    def search(lines, justs, pool, used, remaining, every, idle):
         """Extend the prefix ``lines`` by ``remaining`` more lines.
 
         ``pool[w]`` maps each admissible next clause of width ``w`` to its
         first justification; ``used`` has bit ``t`` set once line ``t`` is
-        some line's premise.  Returns (lines, justs) of a refutation, or None.
+        some line's premise; ``every`` and ``idle`` are the unions of all
+        lines and of the unused ones.  Returns (lines, justs) of a
+        refutation, or None.
         """
         nonlocal nodes, exhausted
         nodes += 1
@@ -437,7 +452,18 @@ def min_refutation_length(
                     if c < prev and j1 != t - 1 and j2 != t - 1:
                         continue
                     child_used = used | (1 << j1) | (1 << j2)
-                if t + 1 - child_used.bit_count() > child_remaining + 1:
+                # The slack cap: lines left + 1 - unused lines, as above.
+                slack = child_remaining - t + child_used.bit_count()
+                if slack < 0:
+                    continue
+                if child_used == used:
+                    child_idle = idle | c
+                else:
+                    child_idle = c
+                    for i in range(t):
+                        if not child_used >> i & 1:
+                            child_idle |= lines[i]
+                if slack < 2 and flip(child_idle) & ~(every | c if slack else child_idle):
                     continue
                 fc = flip(c)
                 child_lines = lines + [c]
@@ -467,7 +493,9 @@ def min_refutation_length(
                     if any(a & d == a for a in narrower[dw]):
                         continue
                     child_pool[dw][d] = j
-                res = search(child_lines, justs + [just], child_pool, child_used, child_remaining)
+                res = search(
+                    child_lines, justs + [just], child_pool, child_used, child_remaining, every | c, child_idle
+                )
                 if res is not None:
                     return res
                 if exhausted:
@@ -485,7 +513,7 @@ def min_refutation_length(
         for c in axioms:
             if c.bit_count() < limit:
                 pool[c.bit_count()][c] = ("A", axiom_index[c])
-        res = search([], [], pool, 0, limit)
+        res = search([], [], pool, 0, limit, 0, 0)
         if exhausted:
             return ("exhausted",)
         if res is None:

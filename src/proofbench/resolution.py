@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
 
-from .core import Cnf, nogc, restrict_clause, restrict_cnf, shift_cnf, sorted_literals
+from .core import Cnf, check_numbers, nogc, restrict_clause, restrict_cnf, shift_cnf, sorted_literals
 
 
 Justification = tuple
@@ -324,14 +324,12 @@ def parse_proof(text: str, target: Cnf) -> ResolutionProof:
             lits.append(lit)
         return frozenset(lits)
 
+    check_numbers(text, "c")
     lines: list[ProofLine] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
-        if not line.isascii() or "_" in line or "+" in line:
-            # int() reads these, but emit_proof never writes them
-            raise ValueError(f"line {lineno}: bad number in {line!r}")
         head, _, tail = line.partition(":")
         parts = head.split()
         if not parts:

@@ -680,6 +680,13 @@ def test_lrfn_from_rfn_checks_dimensions():
         lrfn_from_rfn(proof, cnf(2, [[1, 2]]))
 
 
+@pytest.mark.parametrize("m, n", [(1, 1), (2, 1), (1, 2)])
+def test_rfn_res_proof_refuses_an_empty_coded_cnf(m, n):
+    # k = 0 is refused up front, not by the final self-check.
+    with pytest.raises(ValueError, match="k >= 1"):
+        cf_prove_rfn_res(m, n, 0)
+
+
 def test_each_proof_is_checked_exactly_once(monkeypatch):
     calls = []
     real = cfrege.cf_check

@@ -164,6 +164,8 @@ def test_parse_dimacs_pair():
 def test_parse_dimacs_comments_and_layout():
     text = "c intro\np cnf 3 2\nc mid\n1 -2 0 3 0\n"
     assert parse_dimacs(text) == cnf(3, [[1, -2], [3]])
+    # comments may spell numbers any way
+    assert parse_dimacs("c 01 -0 +1 1_0\n" + text) == cnf(3, [[1, -2], [3]])
 
 
 @pytest.mark.parametrize(
@@ -178,6 +180,9 @@ def test_parse_dimacs_comments_and_layout():
         "p cnf 12 1\n1_0 \u0661 0\n",
         "p cnf 1 1\n+1 0\n",
         "p cnf +1 1\n1 0\n",
+        "p cnf 1 1\n01 -0\n",
+        "p cnf 1 1\n1 -0\n",
+        "p cnf 01 1\n1 0\n",
     ],
 )
 def test_parse_dimacs_errors(text):
@@ -325,6 +330,10 @@ def test_gate_list_rejects_forward_reference():
         ("inputs 1\ng0 := var \u0661\nout g0\n", 2),
         ("inputs 1\ng0 := var +1\nout g0\n", 2),
         ("inputs 1\ng0 := var 1\ng1 := not g+0\nout g1\n", 3),
+        ("inputs 01\ng0 := var 1\nout g0\n", 1),
+        ("inputs 1\ng0 := var 01\nout g0\n", 2),
+        ("inputs 1\ng0 := var 1\ng1 := not g00\nout g1\n", 3),
+        ("inputs 1\ng0 := var 1\ng1 := not g-0\nout g1\n", 3),
     ],
 )
 def test_gate_list_errors_name_their_line(text, line):

@@ -500,8 +500,9 @@ def _small_unsat_cnfs(rng, count):
 
 def test_min_length_matches_unpruned_reference():
     # The pruned search must agree with a search that prunes nothing: the
-    # same shortest length, also when allowed three lines more, with the
-    # same witness, and a certified "none" one line below it.
+    # same shortest length, also when allowed one line more (the first
+    # limit with slack left for a download) or three, with the same
+    # witness, and a certified "none" one line below it.
     rng = random.Random(3)
     lengths = []
     for f in [PAIR, build_php(2, 1)] + _small_unsat_cnfs(rng, 150):
@@ -509,9 +510,9 @@ def test_min_length_matches_unpruned_reference():
         got = min_refutation_length(f, want)
         assert got[:2] == ("found", want), f.clauses
         assert check_refutation(f, got[2], mode="strict").ok
-        roomy = min_refutation_length(f, want + 3)
-        assert roomy[:2] == ("found", want), f.clauses
-        assert emit_proof(roomy[2]) == emit_proof(got[2])
+        for roomy in (min_refutation_length(f, want + 1), min_refutation_length(f, want + 3)):
+            assert roomy[:2] == ("found", want), f.clauses
+            assert emit_proof(roomy[2]) == emit_proof(got[2])
         assert min_refutation_length(f, want - 1) == ("none-up-to", want - 1), f.clauses
         lengths.append(want)
     assert max(lengths) >= 9  # deep enough for the order and line-count prunes
@@ -536,6 +537,17 @@ def test_min_length_answers_are_pinned():
         answers.append(res[:2] + (emit_proof(res[2]),) if res[0] == "found" else res)
     digest = hashlib.sha256(repr(answers).encode()).hexdigest()[:16]
     assert digest == "8d9929f47b8bc927"
+
+
+@pytest.mark.parametrize("n, nodes", [(2, 8_000), (3, 60_000)])
+def test_min_length_certifies_criterion_5_within_a_node_budget(n, nodes):
+    # The slack cap's work count on criterion 5's prf(1, F) of the
+    # unsatisfiable pairs: searches of 6,638 and 46,251 nodes, which took
+    # 30,312 and 335,959 under the unused-line cap alone.
+    f = cnf(n, [[i] for i in range(1, n + 1)] + [[-i] for i in range(1, n + 1)])
+    rho = build_prf(1, n, 2 * n, encode_cnf(f, strict=False)).formula
+    budget = SearchBudget(max_nodes=nodes)
+    assert min_refutation_length(rho, 10, budget) == ("none-up-to", 10)
 
 
 def test_min_length_witness_check_survives_optimization(monkeypatch):

@@ -329,10 +329,19 @@ def test_forward_reference_rejected():
 
 @pytest.mark.parametrize(
     "text, lineno",
-    [("A 0\nA 1\nR 0 1 \u0661 :\n", 3), ("A 0\nA 1\nR 0 1 1 : 1_0\n", 3), ("A +1\n", 1)],
+    [
+        ("A 0\nA 1\nR 0 1 \u0661 :\n", 3),
+        ("A 0\nA 1\nR 0 1 1 : 1_0\n", 3),
+        ("A +1\n", 1),
+        ("A 00\n", 1),
+        ("c fine: 01 -0\nA 01\n", 2),
+        ("A 0\nA 1\nR 0 1 01 :\n", 3),
+        ("A 0\nA 1\nR 0 1 1 : -0\n", 3),
+    ],
 )
 def test_numbers_emit_proof_never_writes_are_refused(text, lineno):
-    # int() reads non-ASCII digits, "_" separators and "+" signs
+    # int() reads non-ASCII digits, "_" separators, "+" signs, leading
+    # zeros and "-0"
     with pytest.raises(ValueError, match=f"line {lineno}: bad number"):
         parse_proof(text, PAIR)
 
