@@ -8,8 +8,8 @@ flatten/sort/deduplicate conjunctions and disjunctions, folding complement
 pairs; negation is *not* pushed through gates, so canonization stays a
 linear-time congruence rather than a SAT oracle.
 
-Lines are checked up to canonical equality: a schema or extension line must
-canonize like its instance, ``MP j1 j2`` requires line ``j1`` to canonize
+Lines are checked up to canonical equality: a schema line must canonize
+like its instance, ``MP j1 j2`` requires line ``j1`` to canonize
 like ``line_j2 -> here``, and ``C j`` requires equal canonization with line
 ``j``.  All line circuits live in one shared hash-consed arena.
 
@@ -237,23 +237,15 @@ def instantiate_schema(arena: CircuitBuilder, idx: int, sigma: Sequence[int]) ->
     return fn(arena, *sigma)
 
 
-def instantiate_extension(arena: CircuitBuilder, pattern: Circuit, sigma: Sequence[int]) -> int:
-    """Extension axiom schemas are circuits over variables 1..arity."""
-    if len(sigma) < pattern.n_vars:
-        raise ValueError("extension instance is missing arguments")
-    order = range(len(pattern.gates))
-    return arena.copy(pattern.gates, order, lambda i: sigma[i - 1])[pattern.output]
-
-
 # ---------------------------------------------------------------------------
 # Proof objects
 
-# Justifications: ('schema', idx, sigma) / ('ext', idx, sigma) with sigma a
-# tuple of arena node ids, ('mp', j1, j2), ('canon', j).
+# Justifications: ('schema', idx, sigma) with sigma a tuple of arena node
+# ids, ('mp', j1, j2), ('canon', j).
 CfLine = tuple[int, tuple]
 
 # Justification length by rule, the rule name included.
-_ARITY = {"schema": 3, "ext": 3, "mp": 3, "canon": 2}
+_ARITY = {"schema": 3, "mp": 3, "canon": 2}
 
 
 @dataclass
@@ -273,7 +265,7 @@ class CfProof:
 
 
 @nogc
-def cf_check(proof: CfProof, extensions: Sequence[Circuit] = ()) -> CheckReport:
+def cf_check(proof: CfProof) -> CheckReport:
     """Check every line on a fresh canonical-form table, so the verdict
     rests on the proof alone.  A malformed line gets a failing report,
     never an exception.  ``bit_size`` is 0: a proof's size is
@@ -298,25 +290,21 @@ def cf_check(proof: CfProof, extensions: Sequence[Circuit] = ()) -> CheckReport:
             return fail(t, f"line circuit {node!r} is not an arena node")
         # canon refuses the gates Circuit refuses (see CanonTable)
         try:
-            if rule in ("schema", "ext"):
+            if rule == "schema":
                 idx, sigma = just[1], just[2]
-                count = len(SCHEMAS if rule == "schema" else extensions)
-                if type(idx) is not int or not 0 <= idx < count:
-                    return fail(t, f"{rule} index {idx!r} out of range")
+                if type(idx) is not int or not 0 <= idx < len(SCHEMAS):
+                    return fail(t, f"schema index {idx!r} out of range")
                 if not isinstance(sigma, (tuple, list)):
-                    return fail(t, f"{rule} arguments are not arena nodes")
+                    return fail(t, "schema arguments are not arena nodes")
                 for s in sigma:
                     if type(s) is not int or not 0 <= s < len(nodes):
-                        return fail(t, f"{rule} arguments are not arena nodes")
+                        return fail(t, "schema arguments are not arena nodes")
                 try:
-                    if rule == "schema":
-                        inst = instantiate_schema(arena, idx, sigma)
-                    else:
-                        inst = instantiate_extension(arena, extensions[idx], sigma)
+                    inst = instantiate_schema(arena, idx, sigma)
                 except ValueError as e:
                     return fail(t, f"bad instantiation: {e}")
                 if ct.canon(node) != ct.canon(inst):
-                    return fail(t, f"line does not match its {rule} instance")
+                    return fail(t, "line does not match its schema instance")
             elif rule == "mp":
                 j1, j2 = just[1], just[2]
                 if not (type(j1) is type(j2) is int and 0 <= j1 < t and 0 <= j2 < t):
@@ -335,10 +323,10 @@ def cf_check(proof: CfProof, extensions: Sequence[Circuit] = ()) -> CheckReport:
     return CheckReport(True, None, None, len(proof.lines), 0)
 
 
-def _checked(proof: CfProof, what: str, extensions: Sequence[Circuit] = ()) -> CfProof:
+def _checked(proof: CfProof, what: str) -> CfProof:
     """``proof`` itself once :func:`cf_check` accepts it; a rejection is an
     internal error of the code that built it."""
-    report = cf_check(proof, extensions=extensions)
+    report = cf_check(proof)
     if not report.ok:
         raise RuntimeError(f"{what} proof invalid at line {report.step}: {report.reason}")
     return proof
@@ -352,9 +340,8 @@ def cf_serialize(proof: CfProof) -> str:
     out = [f"inputs {proof.arena.n_vars}"]
     out += [f"g{x} := {gate_text(nodes[x])}" for x in cone(nodes, _roots(proof))]
     for node, just in proof.lines:
-        if just[0] == "schema" or just[0] == "ext":
-            args = "".join(f" g{s}" for s in just[2])
-            head = f"{'S' if just[0] == 'schema' else 'X'} {just[1]}{args}"
+        if just[0] == "schema":
+            head = f"S {just[1]}" + "".join(f" g{s}" for s in just[2])
         elif just[0] == "mp":
             head = f"MP {just[1]} {just[2]}"
         else:
@@ -365,11 +352,11 @@ def cf_serialize(proof: CfProof) -> str:
 
 def _roots(proof: CfProof) -> list[int]:
     """The arena nodes a proof's lines name: each line's circuit and the
-    arguments of its schema or extension instance."""
+    arguments of its schema instance."""
     roots = []
     for node, just in proof.lines:
         roots.append(node)
-        if just[0] in ("schema", "ext"):
+        if just[0] == "schema":
             roots.extend(just[2])
     return roots
 
@@ -939,8 +926,8 @@ def _transplant(
     remap = arena.copy(nodes, cone(nodes, _roots(proof)), var_image)
     lines = []
     for node, just in proof.lines:
-        if just[0] in ("schema", "ext"):
-            njust = (just[0], just[1], tuple(remap[s] for s in just[2]))
+        if just[0] == "schema":
+            njust = ("schema", just[1], tuple(remap[s] for s in just[2]))
         else:
             njust = just
         lines.append((remap[node], njust))
@@ -962,7 +949,6 @@ def cf_substitute(
     proof: CfProof,
     gamma: Mapping[int, Circuit],
     n_vars: int | None = None,
-    extensions: Sequence[Circuit] = (),
 ) -> CfProof:
     """Replace input variables by circuits throughout a proof.
 
@@ -973,7 +959,7 @@ def cf_substitute(
     """
     if n_vars is None:
         n_vars = max([proof.arena.n_vars] + [c.n_vars for c in gamma.values()])
-    return _checked(_substitute(proof, gamma, n_vars), "substituted", extensions)
+    return _checked(_substitute(proof, gamma, n_vars), "substituted")
 
 
 def _substitute(proof: CfProof, gamma: Mapping[int, Circuit], n_vars: int) -> CfProof:

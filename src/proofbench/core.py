@@ -326,23 +326,32 @@ def _eval_packed(c: Circuit, inputs: Iterable[tuple[Callable[[int], int], int]])
 
     ``column(i)`` packs the value of input ``i`` under every assignment into
     one integer, ``mask`` has the bit of every assignment set, and each
-    result packs the output the same way.  Each gate's value is freed after
-    its last use, so peak memory follows the circuit's live width rather
-    than its size; the last uses are worked out once for all the inputs.
+    result packs the output the same way.  Only the output's cone is
+    evaluated, so ``column`` is asked only for the inputs the cone reads.
+    Each gate's value is freed after its last use, so peak memory follows
+    the circuit's live width rather than its size.  Gates read only earlier
+    gates, so one backward pass finds the cone and the last uses: the first
+    reader of a gate met going backward is its last use going forward.
     """
     gates = c.gates
-    last_use = list(range(len(gates)))
-    for x, g in enumerate(gates):
+    live = [False] * len(gates)
+    live[-1] = True
+    steps = []
+    for x in range(len(gates) - 1, -1, -1):
+        if not live[x]:
+            continue
+        g = gates[x]
+        dead = []
         if g[0] not in ("var", "const"):
             for ref in g[1:]:
-                last_use[ref] = x
-    dying: list[list[int]] = [[] for _ in gates]
-    for ref, x in enumerate(last_use):
-        if x != ref:
-            dying[x].append(ref)
+                if not live[ref]:
+                    live[ref] = True
+                    dead.append(ref)
+        steps.append((x, g, dead))
+    steps.reverse()
     for column, mask in inputs:
         vals = [0] * len(gates)
-        for x, g in enumerate(gates):
+        for x, g, dead in steps:
             kind = g[0]
             if kind == "var":
                 vals[x] = column(g[1])
@@ -358,7 +367,7 @@ def _eval_packed(c: Circuit, inputs: Iterable[tuple[Callable[[int], int], int]])
                 vals[x] = vals[g[1]] | vals[g[2]]
             else:  # imp
                 vals[x] = (vals[g[1]] ^ mask) | vals[g[2]]
-            for ref in dying[x]:
+            for ref in dead:
                 vals[ref] = 0
         yield vals[-1]
 
@@ -391,20 +400,28 @@ def _input_column(i: int, n_vars: int) -> int:
 TABLE_CHUNK_BITS = 17
 
 
-def truth_table_chunks(c: Circuit) -> Iterator[int]:
-    """The truth table of ``c`` in order, ``2**min(n_vars, TABLE_CHUNK_BITS)``
-    assignments per chunk: bit ``r`` of chunk ``j`` is the output under
-    assignment ``j * width + r``.  Within a chunk the low inputs take their
-    periodic columns and the others are constant."""
-    n = c.n_vars
-    b = min(n, TABLE_CHUNK_BITS)
+def truth_table_chunks(c: Circuit) -> tuple[list[int], Iterator[int]]:
+    """The *support* of ``c``, the inputs its output's :func:`cone` reads,
+    ascending, and the truth table over them in order, in chunks of
+    ``width = 2**min(s, TABLE_CHUNK_BITS)`` assignments for ``s`` support
+    inputs.  Bit ``r`` of chunk ``j`` is the output when ``support[p]``
+    takes bit ``p`` of ``j * width + r`` and every other input is 0.  Within
+    a chunk the low support inputs take their periodic columns and the
+    others are constant.  The work is ``2**s`` assignments, not
+    ``2**n_vars``."""
+    gates = c.gates
+    support = sorted({gates[x][1] for x in cone(gates, [c.output]) if gates[x][0] == "var"})
+    s = len(support)
+    b = min(s, TABLE_CHUNK_BITS)
     mask = (1 << (1 << b)) - 1
-    low = [_input_column(i, b) for i in range(1, b + 1)]
+    low = {v: _input_column(p + 1, b) for p, v in enumerate(support[:b])}
 
     def chunk(j: int) -> Callable[[int], int]:
-        return lambda i: low[i - 1] if i <= b else mask * (j >> (i - 1 - b) & 1)
+        cols = dict(low)
+        cols.update((v, mask * (j >> p & 1)) for p, v in enumerate(support[b:]))
+        return cols.__getitem__
 
-    return _eval_packed(c, ((chunk(j), mask) for j in range(1 << (n - b))))
+    return support, _eval_packed(c, ((chunk(j), mask) for j in range(1 << (s - b))))
 
 
 def cone(nodes: Sequence[Gate], roots: Iterable[int]) -> list[int]:

@@ -20,13 +20,15 @@ from .resolution import ResolutionProof, check_refutation
 class SearchBudget:
     """Caps for the exhaustive procedures below.
 
-    ``max_assignments`` bounds truth-table size, ``max_nodes`` bounds the
-    search tree nodes of one call (summed over all its searches), and
-    ``max_seconds`` is a wall-clock cutoff, checked at each search node and
-    between the chunks of a truth table.  A cutoff of ``None`` reads
-    ``PROOFBENCH_MAX_SECONDS`` and, when that is unset or empty, means 60
-    seconds: every search has a clock cap.  Hitting any cap yields an
-    explicit ``'exhausted'`` outcome, never a silent wrong answer.
+    ``max_assignments`` bounds the truth-table size ``2**n_vars``.  The work
+    is only ``2**s`` for the ``s`` inputs the output reads, but the cap
+    counts every input, so the answer does not depend on ``s``.
+    ``max_nodes`` bounds the search tree nodes of one call (summed over all
+    its searches), and ``max_seconds`` is a wall-clock cutoff, checked at
+    each search node and between the chunks of a truth table.  A cutoff of
+    ``None`` reads ``PROOFBENCH_MAX_SECONDS`` and, when that is unset or
+    empty, means 60 seconds: every search has a clock cap.  Hitting any cap
+    yields an explicit ``'exhausted'`` outcome, never a silent wrong answer.
     """
 
     max_assignments: int = 1 << 24
@@ -50,24 +52,34 @@ DEFAULT_BUDGET = SearchBudget()
 def is_tautology(c: Circuit, budget: SearchBudget = DEFAULT_BUDGET):
     """('yes',) | ('no', counterexample) | ('exhausted',).
 
-    Exhaustive over all assignments, evaluated bit-parallel on Python
-    integers one chunk of the truth table at a time (see
-    :func:`~proofbench.core.truth_table_chunks`).  The first chunk with a
-    zero ends the search, and its lowest zero is the lowest falsifying
-    assignment, the counterexample.
+    Exhaustive over the assignments of the inputs the output reads, its
+    support, evaluated bit-parallel on Python integers one chunk of the
+    truth table at a time (see :func:`~proofbench.core.truth_table_chunks`).
+    The first chunk with a zero ends the search, and its lowest zero, with
+    every unread input set to 0, is the counterexample.  That is the lowest
+    falsifying assignment of the whole table: the output ignores unread
+    inputs, so clearing them in a falsifying assignment keeps it falsifying
+    and makes it no larger, and among assignments that are 0 off the
+    support, index order is the order of the support bits.  The cap still
+    counts all ``2**n_vars`` assignments (see :class:`SearchBudget`).
     """
     n = c.n_vars
-    if 1 << n > budget.max_assignments:
+    if n >= max(budget.max_assignments, 0).bit_length():  # 2**n > max_assignments
         return ("exhausted",)
     deadline = budget.deadline()
-    width = 1 << min(n, TABLE_CHUNK_BITS)
+    support, chunks = truth_table_chunks(c)
+    s = len(support)
+    width = 1 << min(s, TABLE_CHUNK_BITS)
     mask = (1 << width) - 1
-    last = (1 << n) // width - 1
-    for j, chunk in enumerate(truth_table_chunks(c)):
+    last = (1 << s) // width - 1
+    for j, chunk in enumerate(chunks):
         missing = chunk ^ mask
         if missing:
             idx = j * width + (missing & -missing).bit_length() - 1
-            return ("no", tuple((idx >> i) & 1 for i in range(n)))
+            a = [0] * n
+            for p, v in enumerate(support):
+                a[v - 1] = idx >> p & 1
+            return ("no", tuple(a))
         if j < last and time.monotonic() > deadline:
             return ("exhausted",)
     return ("yes",)

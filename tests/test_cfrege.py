@@ -1,6 +1,6 @@
 """
 The circuit-Frege kernel: schema instantiation, line checking, canonical
-forms, substitution and explosion, the reflection proofs, and their
+forms, substitution, the reflection proofs, and their
 localization at a fixed CNF.
 """
 
@@ -133,7 +133,7 @@ def test_premise_index_range_checked():
         ("schema", 0, (-5, 0)),
         ("schema", -1, ()),
         ("schema", "a", ()),
-        ("ext", 0, ()),
+        ("ext", 0, ()),  # no longer a rule, so refused as unknown
         ("mp", "a", 0),
         ("canon", None),
         ("canon", 0.0),
@@ -167,12 +167,12 @@ JUST_ARGS = st.one_of(
 # Justifications of the right length with arguments of any type, and
 # tuples of any rule and length.
 RANDOM_JUSTS = st.one_of(
-    st.tuples(st.sampled_from(("schema", "ext")), JUST_ATOMS, JUST_ARGS),
+    st.tuples(st.just("schema"), JUST_ATOMS, JUST_ARGS),
     st.tuples(st.just("mp"), JUST_ATOMS, JUST_ATOMS),
     st.tuples(st.just("canon"), JUST_ATOMS),
     st.builds(
         lambda rule, rest: (rule,) + tuple(rest),
-        st.one_of(st.sampled_from(("schema", "ext", "mp", "canon")), JUST_ATOMS),
+        st.one_of(st.sampled_from(("schema", "mp", "canon")), JUST_ATOMS),
         st.lists(JUST_ARGS, max_size=3),
     ),
     st.just(()),
@@ -512,70 +512,6 @@ def test_substitute_rejects_unknown_variable():
         cf_substitute(proof, {4: b.build(b.var(1))})
 
 
-def cf_explode(proof: CfProof, a, beta: Circuit, extensions=()) -> CfProof:
-    """From a proof of a falsifiable circuit, prove any ``beta`` in three
-    extra lines.
-
-    ``a`` must falsify the proof's last line.  Substituting it as constants
-    canonizes that line to false, so "false implies beta" is canonically
-    true and one detachment lands on ``beta``.
-    """
-    alpha = proof.last_circuit()
-    if len(a) < alpha.n_vars:
-        raise ValueError("assignment does not cover the proof's inputs")
-    if eval_circuit(alpha, a):
-        raise ValueError("assignment does not falsify the proved circuit")
-    cb = CircuitBuilder(0)
-    consts = {v: cb.build(cb.const(a[v - 1])) for v in range(1, proof.arena.n_vars + 1)}
-    sub, bnode = cfrege._rehouse(cfrege._substitute(proof, consts, beta.n_vars), beta)
-    arena = sub.arena
-    lines = list(sub.lines)
-    lines.append((arena.const(1), ("schema", 9, ())))
-    lines.append((arena.imp(sub.last_node, bnode), ("canon", len(lines) - 1)))
-    lines.append((bnode, ("mp", len(lines) - 1, len(sub.lines) - 1)))
-    out = CfProof(arena, tuple(lines))
-    if out.last_circuit() != beta:
-        raise RuntimeError("exploded proof does not end in beta")
-    return cfrege._checked(out, "exploded", extensions)
-
-
-def test_explode_from_unsound_extension():
-    pattern = Circuit(1, (("var", 1),))  # asserts its own argument: unsound
-    arena = CircuitBuilder(1)
-    x = arena.var(1)
-    proof = CfProof(arena, ((x, ("ext", 0, (x,))),))
-    assert cf_check(proof, extensions=(pattern,)).ok
-
-    rng = random.Random(5)
-    beta = _random_circuit(rng, 2)
-    out = cf_explode(proof, (0,), beta, extensions=(pattern,))
-    assert len(out) == 4
-    assert out.last_circuit() == beta
-    assert cf_check(out, extensions=(pattern,)).ok
-    assert "\nX 0 g" in cf_serialize(proof)
-
-
-def test_explode_to_trivial_target():
-    arena = CircuitBuilder(1)
-    x = arena.var(1)
-    pattern = Circuit(1, (("var", 1),))
-    proof = CfProof(arena, ((x, ("ext", 0, (x,))),))
-    cb = CircuitBuilder(0)
-    beta = cb.build(cb.const(1))
-    out = cf_explode(proof, (0,), beta, extensions=(pattern,))
-    assert out.last_circuit() == beta and len(out) == 4
-
-
-def test_explode_requires_falsifying_assignment():
-    arena = CircuitBuilder(1)
-    x = arena.var(1)
-    pattern = Circuit(1, (("var", 1),))
-    proof = CfProof(arena, ((x, ("ext", 0, (x,))),))
-    cb = CircuitBuilder(1)
-    with pytest.raises(ValueError, match="falsify"):
-        cf_explode(proof, (1,), cb.build(cb.var(1)), extensions=(pattern,))
-
-
 # ---------------------------------------------------------------------------
 # satisfaction equivalence
 
@@ -708,8 +644,3 @@ def test_each_proof_is_checked_exactly_once(monkeypatch):
     b = CircuitBuilder(1)
     assert checks(cf_substitute, proof, {1: b.build(b.not_(b.var(1)))})[1] == 1
     assert checks(lrfn_from_rfn, proof, cnf(1, [[1]]))[1] == 1
-    pattern = Circuit(1, (("var", 1),))
-    arena = CircuitBuilder(1)
-    unsound = CfProof(arena, ((arena.var(1), ("ext", 0, (arena.var(1),))),))
-    beta = b.build(b.var(1))
-    assert checks(cf_explode, unsound, (0,), beta, extensions=(pattern,))[1] == 1

@@ -19,6 +19,7 @@ from proofbench.core import (
     _eval_packed,
     _input_column,
     cnf,
+    cone,
     encode_cnf,
     eval_circuit,
     eval_cnf,
@@ -86,10 +87,95 @@ def test_tautology_counterexample_across_chunks(n):
 
 
 def test_tautology_clock_is_checked_between_chunks():
-    b = CircuitBuilder(TABLE_CHUNK_BITS + 1)
-    c = b.build(b.or_(b.var(1), b.not_(b.var(1))))
+    # The output reads every input, so its table spans two chunks.
+    n = TABLE_CHUNK_BITS + 1
+    b = CircuitBuilder(n)
+    c = b.build(b.and_many([b.or_(b.var(i), b.not_(b.var(i))) for i in range(1, n + 1)]))
     assert is_tautology(c) == ("yes",)
     assert is_tautology(c, SearchBudget(max_seconds=0)) == ("exhausted",)
+
+
+def _sparse_circuit(rng: random.Random, n: int, read: list[int]) -> Circuit:
+    """A random gate list over ``n`` inputs whose output reads exactly the
+    inputs ``read``: a random CNF over them, each input also read by an
+    ``x | !x`` term.  Most literals are negative, and half the clauses draw
+    from the top three inputs read, so that zeros also lie past the first
+    chunk.  Gates outside the output's cone are interleaved: vars of any
+    input, constants, and gates over anything before them."""
+    gates: list[tuple] = [("var", rng.randint(1, n)) if n else ("const", 0)]
+
+    def add(g: tuple) -> int:
+        if rng.random() < 0.3:
+            dead = rng.choice(["var", "const", "not", "and", "or", "imp"])
+            if dead == "var" and n:
+                gates.append(("var", rng.randint(1, n)))
+            elif dead in ("var", "const"):
+                gates.append(("const", rng.randint(0, 1)))
+            elif dead == "not":
+                gates.append(("not", rng.randrange(len(gates))))
+            else:
+                gates.append((dead, rng.randrange(len(gates)), rng.randrange(len(gates))))
+        gates.append(g)
+        return len(gates) - 1
+
+    var = {v: add(("var", v)) for v in read}
+    out = add(("const", 1))
+    for v in read:
+        out = add(("and", out, add(("or", var[v], add(("not", var[v]))))))
+    for _ in range(rng.randint(0, 2)):
+        clause = add(("const", 0))
+        pool = read if rng.random() < 0.5 else read[-3:]
+        for v in rng.sample(pool, rng.randint(min(len(pool), 1), min(len(pool), 4))):
+            lit = var[v] if rng.random() < 0.1 else add(("not", var[v]))
+            clause = add(("or", clause, lit))
+        out = add(("and", out, clause))
+    return Circuit(n, tuple(gates))
+
+
+def test_tautology_reads_only_the_support_and_answers_for_the_whole_table():
+    # The answer is the lowest zero of the whole 2**n table, unread inputs
+    # at 0, and the cap counts all 2**n assignments, whatever the support.
+    rng = random.Random(17)
+    shapes = [(0, 0), (5, 0), (5, 3), (18, 2), (19, 16), (20, 17)]
+    shapes += [(n, s) for n in (19, 20) for s in range(TABLE_CHUNK_BITS + 1, n + 1)] * 4
+    shapes += [(n, rng.randint(0, n)) for n in (rng.randint(1, 20) for _ in range(16))]
+    past_first_chunk = 0
+    for n, s in shapes:
+        read = sorted(rng.sample(range(1, n + 1), s))
+        c = _sparse_circuit(rng, n, read)
+        assert len(cone(c.gates, [c.output])) < len(c.gates)
+        total = 1 << n
+        missing = _truth_table(c) ^ ((1 << total) - 1)
+        if missing:
+            low = (missing & -missing).bit_length() - 1
+            want = ("no", tuple(low >> i & 1 for i in range(n)))
+            assert all(want[1][v - 1] == 0 for v in range(1, n + 1) if v not in read)
+            past_first_chunk += any(want[1][v - 1] for v in read[TABLE_CHUNK_BITS:])
+        else:
+            want = ("yes",)
+        assert is_tautology(c) == want, (n, read)
+        assert is_tautology(c, SearchBudget(max_assignments=total)) == want, (n, read)
+        assert is_tautology(c, SearchBudget(max_assignments=total - 1)) == ("exhausted",)
+    assert past_first_chunk >= 3  # counterexamples that set a per-chunk input
+
+
+def test_tautology_cap_counts_unread_inputs():
+    n = 20
+    b = CircuitBuilder(n)
+    c = b.build(b.or_(b.var(3), b.not_(b.var(n))))
+    assert is_tautology(c, SearchBudget(max_assignments=2**n - 1)) == ("exhausted",)
+    assert is_tautology(c, SearchBudget(max_assignments=2**n)) == ("no", (0,) * (n - 1) + (1,))
+
+
+def test_tautology_cap_on_huge_input_counts():
+    # The cap is tested without building 2**n_vars.
+    for n in (25, 10**9, 10**11):
+        assert is_tautology(Circuit(n, (("const", 1),))) == ("exhausted",)
+    assert is_tautology(Circuit(24, (("const", 1),))) == ("yes",)
+    for cap in (0, -1):
+        assert is_tautology(Circuit(0, (("const", 1),)), SearchBudget(max_assignments=cap)) == (
+            "exhausted",
+        )
 
 
 def test_excluded_middle_is_tautology():
