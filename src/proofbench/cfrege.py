@@ -551,38 +551,30 @@ class _Gamma:
 
 class _Projector:
     """Judgment lines for the conjuncts of gamma's and-tree, derived on
-    demand through the two conjunction schemas and memoized per node."""
+    demand through the two conjunction schemas and memoized per node.  One
+    depth-first walk at construction records each conjunct's parent."""
 
     def __init__(self, g: _Gamma):
         self.g = g
         self._have: dict[int, int] = {g.gamma: g.w.taut(g.j(g.gamma))}
         self._parent: dict[int, tuple[int, int]] = {}
-        self._indexed: set[int] = {g.gamma}
-        self._frontier: list[int] = [g.gamma]
-
-    def _index_until(self, target: int) -> bool:
-        if target in self._parent or target == self.g.gamma:
-            return True
-        nodes = self.g.b.nodes
-        while self._frontier:
-            x = self._frontier.pop()
+        nodes = g.b.nodes
+        stack = [g.gamma]
+        while stack:
+            x = stack.pop()
             gx = nodes[x]
             if gx[0] != "and":
                 continue
             for side, ch in enumerate(gx[1:]):
-                if ch not in self._indexed:
-                    self._indexed.add(ch)
+                if ch not in self._parent:
                     self._parent[ch] = (x, side)
-                    self._frontier.append(ch)
-            if target in self._parent:
-                return True
-        return target in self._parent
+                    stack.append(ch)
 
     def line_for(self, node: int) -> int:
         got = self._have.get(node)
         if got is not None:
             return got
-        if not self._index_until(node):
+        if node not in self._parent:
             raise RuntimeError("node is not a conjunct of gamma")
         chain = []
         x = node
@@ -832,7 +824,6 @@ def cf_prove_rfn_res(m: int, n: int, k: int, check: bool = True) -> CfProof:
     # -- induction over lines --------------------------------------------------
 
     s_clauses: list = [None] * (m + 1)
-    top = m
     for j in range(1, m + 1):
         a_case = axiom_case(j)
         if j == 1:
@@ -840,14 +831,10 @@ def cf_prove_rfn_res(m: int, n: int, k: int, check: bool = True) -> CfProof:
         else:
             r_case = resolution_case(j, s_clauses)
             s_clauses[j] = g.res(r_case, a_case, b.var(lay.ax(j)))
-        top = j
-        if not s_clauses[j][1]:
-            break
 
-    acc = s_clauses[top]
-    if acc[1]:
-        for i in range(1, n + 1):
-            acc = g.res(acc, el_refute(i), el(i, m))
+    acc = s_clauses[m]
+    for i in range(1, n + 1):
+        acc = g.res(acc, el_refute(i), el(i, m))
     bottom_line = w.canon_as(acc[0], g.j(b.const(0)))
     return _export(w, g, prf, sat, bottom_line, m, n, k, check)
 
@@ -916,35 +903,6 @@ def cf_prove_sat_equiv(f: Cnf) -> CfProof:
 # Substitution and local reflection
 
 
-def _transplant(
-    proof: CfProof, arena: CircuitBuilder, var_image: Callable[[int], int] | None = None
-) -> tuple[CfLine, ...]:
-    """Recreate a proof's lines inside another arena, mapping each input
-    variable through ``var_image`` (identity when omitted).  Only the nodes
-    the lines actually reach are copied."""
-    nodes = proof.arena.nodes
-    remap = arena.copy(nodes, cone(nodes, _roots(proof)), var_image)
-    lines = []
-    for node, just in proof.lines:
-        if just[0] == "schema":
-            njust = ("schema", just[1], tuple(remap[s] for s in just[2]))
-        else:
-            njust = just
-        lines.append((remap[node], njust))
-    return tuple(lines)
-
-
-def _rehouse(proof: CfProof, target: Circuit) -> tuple[CfProof, int]:
-    """Copy a proof into a fresh arena seeded with ``target``'s gates, so
-    that building the returned root id reproduces ``target`` gate for gate
-    (importing into a shared arena would let hash-consing reuse older node
-    ids and reorder the rebuilt gate list)."""
-    arena = CircuitBuilder(max(proof.arena.n_vars, target.n_vars))
-    tnode = arena.import_circuit(target)
-    lines = _transplant(proof, arena)
-    return CfProof(arena, lines), tnode
-
-
 def cf_substitute(
     proof: CfProof,
     gamma: Mapping[int, Circuit],
@@ -959,24 +917,33 @@ def cf_substitute(
     """
     if n_vars is None:
         n_vars = max([proof.arena.n_vars] + [c.n_vars for c in gamma.values()])
-    return _checked(_substitute(proof, gamma, n_vars), "substituted")
-
-
-def _substitute(proof: CfProof, gamma: Mapping[int, Circuit], n_vars: int) -> CfProof:
-    """:func:`cf_substitute` without the check, for callers that check
-    the proof they build from it."""
     arena = CircuitBuilder(n_vars)
     roots: dict[int, int] = {}
     for v, c in gamma.items():
         if not 1 <= v <= proof.arena.n_vars:
             raise ValueError(f"substituted variable {v} out of range")
         roots[v] = arena.import_circuit(c)
+    return _checked(_substitute(proof, arena, roots), "substituted")
 
-    def image(v: int) -> int:
-        got = roots.get(v)
+
+def _substitute(proof: CfProof, arena: CircuitBuilder, image: Mapping[int, int]) -> CfProof:
+    """Copy a proof's lines into ``arena``, replacing each input variable
+    ``v`` by the node ``image[v]`` (by itself when absent).  Only the nodes
+    the lines reach are copied, children before parents, so the new ids
+    follow the old order after whatever ``arena`` already holds."""
+
+    def var_of(v: int) -> int:
+        got = image.get(v)
         return arena.var(v) if got is None else got
 
-    return CfProof(arena, _transplant(proof, arena, image))
+    nodes = proof.arena.nodes
+    remap = arena.copy(nodes, cone(nodes, _roots(proof)), var_of)
+    lines = []
+    for node, just in proof.lines:
+        if just[0] == "schema":
+            just = ("schema", just[1], tuple(remap[s] for s in just[2]))
+        lines.append((remap[node], just))
+    return CfProof(arena, tuple(lines))
 
 
 def lrfn_from_rfn(proof: CfProof, f: Cnf) -> CfProof:
@@ -998,21 +965,21 @@ def lrfn_from_rfn(proof: CfProof, f: Cnf) -> CfProof:
         raise ValueError("formula dimensions do not match the proof's layout")
     sym, lay = PrfLayout(m, n, k, symbolic=True), PrfLayout(m, n, k)
     code = encode_cnf(f, strict=False)
-    cb = CircuitBuilder(lay.total_vars + n)
-    gamma: dict[int, Circuit] = {}
-    # code_pos order, then z: the arena imports these in insertion order
+    target = build_lrfn(f, m)
+    # Seeding the arena with the target first keeps its gate order, so the
+    # last line rebuilds it gate for gate; the copy then hash-conses into it.
+    arena = CircuitBuilder(lay.total_vars + n)
+    tnode = arena.import_circuit(target)
+    image: dict[int, int] = {}
+    # code_pos order, then z: this order numbers the nodes the target lacks
     for e in (0, 1):
         for i in range(1, n + 1):
             for l in range(1, k + 1):
-                gamma[sym.code(e, i, l)] = cb.build(cb.const(code.get(e, i, l)))
+                image[sym.code(e, i, l)] = arena.const(code.get(e, i, l))
     for i in range(1, n + 1):
-        gamma[sym.z(i)] = cb.build(cb.var(lay.z(i)))
-    target = build_lrfn(f, m)
-    sub, tnode = _rehouse(_substitute(proof, gamma, lay.total_vars + n), target)
-    lines = list(sub.lines)
-    lines.append((tnode, ("canon", len(lines) - 1)))
-    out = CfProof(sub.arena, tuple(lines))
+        image[sym.z(i)] = arena.var(lay.z(i))
+    sub = _substitute(proof, arena, image)
+    out = CfProof(arena, sub.lines + ((tnode, ("canon", len(sub.lines) - 1)),))
     if out.last_circuit() != target:
         raise RuntimeError("localized proof does not end in the local-reflection circuit")
     return _checked(out, "localized")
-

@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 import gc
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 
@@ -102,20 +102,11 @@ def is_normalized(f: Cnf) -> bool:
     return all(not any(-lit in cl for lit in cl) for cl in f.clauses)
 
 
-def lit_true(lit: int, a: Sequence[int]) -> bool:
-    v = abs(lit)
-    return bool(a[v - 1]) == (lit > 0)
-
-
-def eval_clause(cl: frozenset[int], a: Sequence[int]) -> bool:
-    return any(lit_true(lit, a) for lit in cl)
-
-
 def eval_cnf(f: Cnf, a: Sequence[int]) -> bool:
     """True iff every clause contains a satisfied literal."""
     if len(a) != f.n:
         raise ValueError(f"assignment length {len(a)} != n={f.n}")
-    return all(eval_clause(cl, a) for cl in f.clauses)
+    return all(any(bool(a[abs(lit) - 1]) == (lit > 0) for lit in cl) for cl in f.clauses)
 
 
 def restrict_clause(cl: frozenset[int], rho: Mapping[int, int]) -> frozenset[int] | None:

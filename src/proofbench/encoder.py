@@ -43,6 +43,7 @@ from .core import (
     TemplateCode,
     TemplateEntry,
     code_pos,
+    decode_cnf,
     emit_dimacs,
     encode_cnf,
     nogc,
@@ -317,8 +318,6 @@ def decode_prf_assignment(artifact: EncodingArtifact, bits: Sequence[int]) -> Re
     coded CNF and checks in weakening mode exactly when ``bits`` satisfies
     the formula.
     """
-    from .core import decode_cnf
-
     lay = artifact.layout
     if lay.symbolic:
         raise ValueError("cannot decode against a symbolic artifact")

@@ -616,6 +616,38 @@ def test_lrfn_from_rfn_checks_dimensions():
         lrfn_from_rfn(proof, cnf(2, [[1, 2]]))
 
 
+def _seeded_cnf(seed: int, n: int, k: int):
+    rng = random.Random(seed)
+    return cnf(
+        n,
+        [
+            [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), rng.randint(1, n))]
+            for _ in range(k)
+        ],
+    )
+
+
+def test_lrfn_from_rfn_bytes_are_pinned():
+    # Node numbering is part of the text, so these pin the order in which
+    # localization and substitution copy gates into the new arena.
+    expected = {
+        (1, 1, 1): "895e08fcd91cd4c3",
+        (2, 1, 2): "86296ffd35413c6c",
+        (2, 2, 2): "9a8a889016fbf4c4",
+    }
+    for (m, n, k), digest in expected.items():
+        local = lrfn_from_rfn(cf_prove_rfn_res(m, n, k), _seeded_cnf(m + n + k, n, k))
+        assert hashlib.sha256(cf_serialize(local).encode()).hexdigest()[:16] == digest
+    b = CircuitBuilder(3)
+    gamma = {
+        1: b.build(b.not_(b.var(2))),
+        2: b.build(b.and_(b.var(1), b.or_(b.var(3), b.not_(b.var(1))))),
+        4: b.build(b.const(1)),
+    }
+    text = cf_serialize(cf_substitute(cf_prove_rfn_res(1, 1, 1), gamma))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "6bed95a3ff077ad6"
+
+
 @pytest.mark.parametrize("m, n", [(1, 1), (2, 1), (1, 2)])
 def test_rfn_res_proof_refuses_an_empty_coded_cnf(m, n):
     # k = 0 is refused up front, not by the final self-check.

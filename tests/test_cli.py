@@ -214,23 +214,21 @@ NO_PROGRAM_CALLER = {
 }
 
 
-def test_every_public_name_has_a_program_caller():
-    # Library code that only tests call belongs in the tests.  Programs are
-    # the package itself, the benchmark and the acceptance criteria; the
-    # console-script entry point counts as a use.
-    pkg = Path(cli.__file__).parent
-    root = pkg.parents[1]
-    scripts = tomllib.loads((root / "pyproject.toml").read_text())["project"]["scripts"]
-    used = {target.rsplit(":", 1)[1] for target in scripts.values()}
-    programs = sorted(pkg.glob("*.py")) + sorted((root / "perfbench").glob("*.py"))
-    for path in programs + [root / "tests" / "test_acceptance.py"]:
+def _names_read(paths) -> set[str]:
+    """Every name and attribute that the code in ``paths`` reads."""
+    used = set()
+    for path in paths:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
-    # Each public def and class, and each public method, property and
-    # annotated field of those classes.
+    return used
+
+
+def _package_definitions(pkg: Path) -> list[tuple[str, str]]:
+    """``(qualified name, name)`` for each def and class of the package, and
+    each method, property and annotated field of those classes."""
     names = []
     for path in sorted(pkg.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
@@ -241,12 +239,42 @@ def test_every_public_name_has_a_program_caller():
                     names.append((f"{path.stem}.{node.name}.{m.name}", m.name))
                 elif isinstance(m, ast.AnnAssign) and isinstance(m.target, ast.Name):
                     names.append((f"{path.stem}.{node.name}.{m.target.id}", m.target.id))
+    return names
+
+
+def _program_files() -> tuple[Path, list[Path]]:
+    pkg = Path(cli.__file__).parent
+    return pkg, sorted(pkg.glob("*.py")) + sorted((pkg.parents[1] / "perfbench").glob("*.py"))
+
+
+def test_every_public_name_has_a_program_caller():
+    # Library code that only tests call belongs in the tests.  Programs are
+    # the package itself, the benchmark and the acceptance criteria; the
+    # console-script entry point counts as a use.
+    pkg, programs = _program_files()
+    root = pkg.parents[1]
+    scripts = tomllib.loads((root / "pyproject.toml").read_text())["project"]["scripts"]
+    used = {target.rsplit(":", 1)[1] for target in scripts.values()}
+    used |= _names_read(programs + [root / "tests" / "test_acceptance.py"])
     unused = [
         qual
-        for qual, name in names
+        for qual, name in _package_definitions(pkg)
         if not name.startswith("_") and name not in used and name not in NO_PROGRAM_CALLER
     ]
     assert unused == []
+
+
+def test_every_private_helper_has_a_program_caller():
+    # A private def, class, method or field that neither the package nor
+    # the benchmark reads is dead code; tests do not count as callers.
+    pkg, programs = _program_files()
+    used = _names_read(programs)
+    dead = [
+        qual
+        for qual, name in _package_definitions(pkg)
+        if name.startswith("_") and not name.startswith("__") and name not in used
+    ]
+    assert dead == []
 
 
 def test_package_has_no_assert():
