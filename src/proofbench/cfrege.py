@@ -11,7 +11,10 @@ linear-time congruence rather than a SAT oracle.
 Lines are checked up to canonical equality: a schema line must canonize
 like its instance, ``MP j1 j2`` requires line ``j1`` to canonize
 like ``line_j2 -> here``, and ``C j`` requires equal canonization with line
-``j``.  All line circuits live in one shared hash-consed arena.
+``j``.  All line circuits live in one shared hash-consed arena.  The
+checker canonizes only where it must: a line that is gate for gate what its
+rule asks for already canonizes like it, because the canonical form is a
+function of the gate structure.
 
 The reflection proof (:func:`cf_prove_rfn_res`) works in clause form: a
 judgment "under the hypothesis prf & sat at least one of these holds" is a
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable, Mapping, Sequence
 
 from .core import (
@@ -65,12 +69,11 @@ class CanonTable:
     arena nodes denote the same canonical form iff :meth:`canon` returns
     the same id for both.
 
-    :meth:`canon` refuses, with a ``ValueError`` naming the gate, exactly
-    the gates that :func:`~proofbench.core.check_gate` refuses, so
-    :class:`~proofbench.core.Circuit`, :func:`~proofbench.core.parse_gates`
-    and :func:`cf_check` refuse the same gates.  The rule is stated in
-    ``check_gate``; :meth:`canon` repeats it inline because it runs on every
-    node of the proof kernel.
+    :meth:`canon` checks no gate.  Its precondition is that every gate in
+    the node's cone is well formed: the prover's nodes are, because the
+    :class:`~proofbench.core.CircuitBuilder` methods made them, and
+    :func:`cf_check` canonizes only nodes its validating walk,
+    :meth:`_CheckedGates.check_cone`, has passed.
     """
 
     def __init__(self, arena: CircuitBuilder):
@@ -153,27 +156,46 @@ class CanonTable:
         """Canonical ``a -> b``, which is ``!a | b``."""
         return self.mk_op("or", self.mk_not(a), b)
 
+    # The gate methods of CircuitBuilder, in canonical space: a schema
+    # constructor run on this table returns the canonical id of its
+    # instance (see cf_check).
+    not_ = mk_not
+    imp = mk_imp
+
+    def and_(self, a: int, b: int) -> int:
+        return self.mk_op("and", a, b)
+
+    def or_(self, a: int, b: int) -> int:
+        return self.mk_op("or", a, b)
+
+    def const(self, v: int) -> int:
+        return self.TRUE if v else self.FALSE
+
     def canon(self, node: int) -> int:
-        """Canonical id of an arena node (memoized, iterative)."""
+        """Canonical id of an arena node (memoized, iterative), whose cone
+        must hold only well-formed gates (see the class)."""
         memo = self._memo
         got = memo.get(node)
         if got is not None:
             return got
         nodes = self.arena.nodes
-        n_vars = self.arena.n_vars
         stack = [node]
         while stack:
             x = stack[-1]
             g = nodes[x]
-            if type(g) is not tuple or not g:
-                raise ValueError(f"gate {x}: not a gate tuple")
             kind = g[0]
-            if kind == "imp" or kind == "or" or kind == "and":
-                if len(g) != 3:
-                    raise ValueError(f"gate {x}: {kind} with {len(g) - 1} fields")
+            if kind == "not":
+                ca = memo.get(g[1])
+                if ca is None:
+                    stack.append(g[1])
+                    continue
+                memo[x] = self.mk_not(ca)
+            elif kind == "var":
+                memo[x] = self._mk(("var", g[1]))
+            elif kind == "const":
+                memo[x] = self.TRUE if g[1] else self.FALSE
+            else:
                 _, a, b = g
-                if not (type(a) is int is type(b) and 0 <= a < x and 0 <= b < x):
-                    raise ValueError(f"gate {x}: bad reference")
                 ca = memo.get(a)
                 cb = memo.get(b)
                 if ca is None or cb is None:
@@ -183,29 +205,6 @@ class CanonTable:
                         stack.append(b)
                     continue
                 memo[x] = self.mk_imp(ca, cb) if kind == "imp" else self.mk_op(kind, ca, cb)
-            elif len(g) != 2 and kind in ("not", "var", "const"):
-                raise ValueError(f"gate {x}: {kind} with {len(g) - 1} fields")
-            elif kind == "not":
-                _, a = g
-                if not (type(a) is int and 0 <= a < x):
-                    raise ValueError(f"gate {x}: bad reference")
-                ca = memo.get(a)
-                if ca is None:
-                    stack.append(a)
-                    continue
-                memo[x] = self.mk_not(ca)
-            elif kind == "var":
-                _, i = g
-                if not (type(i) is int and 1 <= i <= n_vars):
-                    raise ValueError(f"gate {x}: input {i!r} out of range")
-                memo[x] = self._mk(("var", i))
-            elif kind == "const":
-                _, v = g
-                if not (type(v) is int and 0 <= v <= 1):
-                    raise ValueError(f"gate {x}: bad constant {v!r}")
-                memo[x] = self.TRUE if v else self.FALSE
-            else:
-                raise ValueError(f"gate {x}: unknown kind {kind!r}")
             stack.pop()
         return memo[node]
 
@@ -264,20 +263,123 @@ class CfProof:
         return self.arena.build(self.last_node)
 
 
+# The gate methods of CircuitBuilder, building a schema instance as a term:
+# nested gate tuples over the argument nodes, which cf_check matches against
+# a line's gates.
+_TERMS = SimpleNamespace(
+    not_=lambda a: ("not", a),
+    and_=lambda a, b: ("and", a, b),
+    or_=lambda a, b: ("or", a, b),
+    imp=lambda a, b: ("imp", a, b),
+    const=lambda v: ("const", v),
+)
+
+
+class _CheckedGates:
+    """The gates of one arena that :meth:`check_cone` has passed.  Nothing
+    here reads the builder's hash-cons memo: it is the prover's state, not
+    part of the proof."""
+
+    def __init__(self, arena: CircuitBuilder):
+        self.nodes = arena.nodes
+        self.n_vars = arena.n_vars
+        self.done = bytearray(len(self.nodes))
+
+    def check_cone(self, root: int) -> None:
+        """Check the gates of ``root``'s cone not passed yet, raising
+        ``ValueError`` at the first refused one; after a refusal the table
+        is not used again.
+
+        This is :func:`~proofbench.core.check_gate`, inline and with its
+        messages, because it runs on every node of a proof.  The walk is
+        depth first, second child first, so it meets a refused gate where
+        the canonical-form walk would, and it checks each gate once."""
+        nodes, done = self.nodes, self.done
+        stack = [root]
+        while stack:
+            x = stack.pop()
+            if done[x]:
+                continue
+            g = nodes[x]
+            if type(g) is not tuple or not g:
+                raise ValueError(f"gate {x}: not a gate tuple")
+            kind = g[0]
+            if kind == "imp" or kind == "or" or kind == "and":
+                if len(g) != 3:
+                    raise ValueError(f"gate {x}: {kind} with {len(g) - 1} fields")
+                _, a, b = g
+                if not (type(a) is int and 0 <= a < x):
+                    raise ValueError(f"gate {x}: bad reference {a!r}")
+                if not (type(b) is int and 0 <= b < x):
+                    raise ValueError(f"gate {x}: bad reference {b!r}")
+                done[x] = 1
+                if not done[a]:
+                    stack.append(a)
+                if not done[b]:
+                    stack.append(b)
+                continue
+            if kind != "not" and kind != "var" and kind != "const":
+                raise ValueError(f"gate {x}: unknown kind {kind!r}")
+            if len(g) != 2:
+                raise ValueError(f"gate {x}: {kind} with {len(g) - 1} fields")
+            v = g[1]
+            if kind == "not":
+                if not (type(v) is int and 0 <= v < x):
+                    raise ValueError(f"gate {x}: bad reference {v!r}")
+                if not done[v]:
+                    stack.append(v)
+            elif kind == "var":
+                if not (type(v) is int and 1 <= v <= self.n_vars):
+                    raise ValueError(f"gate {x}: input {v!r} out of range")
+            elif not (type(v) is int and 0 <= v <= 1):
+                raise ValueError(f"gate {x}: bad constant {v!r}")
+            done[x] = 1
+
+    def is_term(self, node: int, term) -> bool:
+        """Whether ``node``, whose cone is checked, is gate for gate the
+        :data:`_TERMS` term ``term``."""
+        if type(term) is int:
+            return node == term
+        g = self.nodes[node]
+        kind = term[0]
+        if g[0] != kind:
+            return False
+        if kind == "const":
+            return g[1] == term[1]
+        if not self.is_term(g[1], term[1]):
+            return False
+        return kind == "not" or self.is_term(g[2], term[2])
+
+
 @nogc
 def cf_check(proof: CfProof) -> CheckReport:
-    """Check every line on a fresh canonical-form table, so the verdict
-    rests on the proof alone.  A malformed line gets a failing report,
-    never an exception.  ``bit_size`` is 0: a proof's size is
-    ``len(cf_serialize(proof).encode())``."""
+    """Check every line, reading the proof alone, so the verdict does not
+    depend on how it was built.  A malformed line gets a failing report,
+    never an exception, and the arena is left as it was.  ``bit_size`` is
+    0: a proof's size is ``len(cf_serialize(proof).encode())``.
+
+    Each line first has the cone of its circuit checked gate by gate
+    (:class:`_CheckedGates`), so the first malformed gate fails the first
+    line that reaches it.  A line whose circuit is *literally* what its
+    rule asks for then passes at once: a schema line whose gates match the
+    schema's constructor run on its argument nodes, or an MP line whose
+    major premise's gate is ``imp`` of the minor premise and this line.  That is
+    sound because the canonical form is a function of the gate structure,
+    so equal structure has equal form.  Every other line is compared up to
+    canonical form on a fresh :class:`CanonTable`: a schema line with the
+    constructor run on the canonical ids of its checked arguments, an MP
+    line with ``major == minor -> here``, a ``C`` line with its premise.
+    Nothing here reads the arena's hash-cons memo."""
     arena = proof.arena
     nodes = arena.nodes
+    lines = proof.lines
     ct = CanonTable(arena)
+    gates = _CheckedGates(arena)
 
     def fail(step: int, reason: str) -> CheckReport:
-        return CheckReport(False, step, reason, len(proof.lines), 0)
+        return CheckReport(False, step, reason, len(lines), 0)
 
-    for t, line in enumerate(proof.lines):
+    for t, line in enumerate(lines):
         if type(line) is not tuple or len(line) != 2:
             return fail(t, "line is not a (circuit, justification) pair")
         node, just = line
@@ -288,7 +390,6 @@ def cf_check(proof: CfProof) -> CheckReport:
             return fail(t, f"malformed {rule} justification")
         if type(node) is not int or not 0 <= node < len(nodes):
             return fail(t, f"line circuit {node!r} is not an arena node")
-        # canon refuses the gates Circuit refuses (see CanonTable)
         try:
             if rule == "schema":
                 idx, sigma = just[1], just[2]
@@ -299,28 +400,36 @@ def cf_check(proof: CfProof) -> CheckReport:
                 for s in sigma:
                     if type(s) is not int or not 0 <= s < len(nodes):
                         return fail(t, "schema arguments are not arena nodes")
-                try:
-                    inst = instantiate_schema(arena, idx, sigma)
-                except ValueError as e:
-                    return fail(t, f"bad instantiation: {e}")
-                if ct.canon(node) != ct.canon(inst):
-                    return fail(t, "line does not match its schema instance")
+                arity, make = SCHEMAS[idx]
+                if len(sigma) != arity:
+                    return fail(
+                        t, f"bad instantiation: schema {idx} takes {arity} arguments, got {len(sigma)}"
+                    )
+                gates.check_cone(node)
+                if not gates.is_term(node, make(_TERMS, *sigma)):
+                    for s in sigma:
+                        gates.check_cone(s)
+                    if ct.canon(node) != make(ct, *[ct.canon(s) for s in sigma]):
+                        return fail(t, "line does not match its schema instance")
             elif rule == "mp":
                 j1, j2 = just[1], just[2]
                 if not (type(j1) is type(j2) is int and 0 <= j1 < t and 0 <= j2 < t):
                     return fail(t, "premise index out of range")
-                want = ct.mk_imp(ct.canon(proof.lines[j2][0]), ct.canon(node))
-                if ct.canon(proof.lines[j1][0]) != want:
-                    return fail(t, "major premise does not imply this line")
+                gates.check_cone(node)
+                major, minor = lines[j1][0], lines[j2][0]
+                if nodes[major] != ("imp", minor, node):
+                    if ct.canon(major) != ct.mk_imp(ct.canon(minor), ct.canon(node)):
+                        return fail(t, "major premise does not imply this line")
             else:
                 j = just[1]
                 if type(j) is not int or not 0 <= j < t:
                     return fail(t, "premise index out of range")
-                if ct.canon(proof.lines[j][0]) != ct.canon(node):
+                gates.check_cone(node)
+                if ct.canon(lines[j][0]) != ct.canon(node):
                     return fail(t, "line is not a canonization of its premise")
-        except (IndexError, TypeError, ValueError) as e:
+        except ValueError as e:
             return fail(t, f"malformed arena: {e}")
-    return CheckReport(True, None, None, len(proof.lines), 0)
+    return CheckReport(True, None, None, len(lines), 0)
 
 
 def _checked(proof: CfProof, what: str) -> CfProof:

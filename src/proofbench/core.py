@@ -269,8 +269,9 @@ def check_gate(x: int, g: Gate, n_vars: int) -> None:
     exactly its fields: an ``int`` input in ``1..n_vars``, an ``int``
     constant 0 or 1, or ``int`` children below ``x``, which rules out
     cycles.  :class:`Circuit` and :func:`parse_gates` refuse a gate through
-    this rule; ``cfrege.CanonTable.canon`` keeps an inline copy of it on
-    its hot path, which the tests pin to this one.
+    this rule.  ``cfrege._CheckedGates.check_cone``, the walk by which
+    ``cf_check`` validates a line's cone, keeps an inline copy of it on its
+    hot path, which the tests pin to this one, message for message.
     """
     if type(g) is not tuple or not g:
         raise ValueError(f"gate {x}: not a gate tuple")
