@@ -35,6 +35,7 @@ from .core import (
     Circuit,
     CircuitBuilder,
     Cnf,
+    check_cone,
     cone,
     encode_cnf,
     gate_text,
@@ -72,8 +73,8 @@ class CanonTable:
     :meth:`canon` checks no gate.  Its precondition is that every gate in
     the node's cone is well formed: the prover's nodes are, because the
     :class:`~proofbench.core.CircuitBuilder` methods made them, and
-    :func:`cf_check` canonizes only nodes its validating walk,
-    :meth:`_CheckedGates.check_cone`, has passed.
+    :func:`cf_check` canonizes only nodes that
+    :func:`~proofbench.core.check_cone` has passed.
     """
 
     def __init__(self, arena: CircuitBuilder):
@@ -91,14 +92,6 @@ class CanonTable:
         cid = self._intern[form] = len(self._forms)
         self._forms.append(form)
         return cid
-
-    def mk_not(self, a: int) -> int:
-        form = self._forms[a]
-        if form[0] == "const":
-            return self.FALSE if form[1] else self.TRUE
-        if form[0] == "not":
-            return form[1]
-        return self._mk(("not", a))
 
     def mk_op(self, op: str, a: int, b: int) -> int:
         """Canonical ``a op b`` for ``op`` in ``and``/``or``."""
@@ -152,15 +145,20 @@ class CanonTable:
                 return ann
         return self._mk((op, tuple(sorted(kids))))
 
-    def mk_imp(self, a: int, b: int) -> int:
-        """Canonical ``a -> b``, which is ``!a | b``."""
-        return self.mk_op("or", self.mk_not(a), b)
-
     # The gate methods of CircuitBuilder, in canonical space: a schema
     # constructor run on this table returns the canonical id of its
     # instance (see cf_check).
-    not_ = mk_not
-    imp = mk_imp
+    def not_(self, a: int) -> int:
+        form = self._forms[a]
+        if form[0] == "const":
+            return self.FALSE if form[1] else self.TRUE
+        if form[0] == "not":
+            return form[1]
+        return self._mk(("not", a))
+
+    def imp(self, a: int, b: int) -> int:
+        """Canonical ``a -> b``, which is ``!a | b``."""
+        return self.mk_op("or", self.not_(a), b)
 
     def and_(self, a: int, b: int) -> int:
         return self.mk_op("and", a, b)
@@ -189,7 +187,7 @@ class CanonTable:
                 if ca is None:
                     stack.append(g[1])
                     continue
-                memo[x] = self.mk_not(ca)
+                memo[x] = self.not_(ca)
             elif kind == "var":
                 memo[x] = self._mk(("var", g[1]))
             elif kind == "const":
@@ -204,7 +202,7 @@ class CanonTable:
                     if cb is None:
                         stack.append(b)
                     continue
-                memo[x] = self.mk_imp(ca, cb) if kind == "imp" else self.mk_op(kind, ca, cb)
+                memo[x] = self.imp(ca, cb) if kind == "imp" else self.mk_op(kind, ca, cb)
             stack.pop()
         return memo[node]
 
@@ -275,80 +273,20 @@ _TERMS = SimpleNamespace(
 )
 
 
-class _CheckedGates:
-    """The gates of one arena that :meth:`check_cone` has passed.  Nothing
-    here reads the builder's hash-cons memo: it is the prover's state, not
-    part of the proof."""
-
-    def __init__(self, arena: CircuitBuilder):
-        self.nodes = arena.nodes
-        self.n_vars = arena.n_vars
-        self.done = bytearray(len(self.nodes))
-
-    def check_cone(self, root: int) -> None:
-        """Check the gates of ``root``'s cone not passed yet, raising
-        ``ValueError`` at the first refused one; after a refusal the table
-        is not used again.
-
-        This is :func:`~proofbench.core.check_gate`, inline and with its
-        messages, because it runs on every node of a proof.  The walk is
-        depth first, second child first, so it meets a refused gate where
-        the canonical-form walk would, and it checks each gate once."""
-        nodes, done = self.nodes, self.done
-        stack = [root]
-        while stack:
-            x = stack.pop()
-            if done[x]:
-                continue
-            g = nodes[x]
-            if type(g) is not tuple or not g:
-                raise ValueError(f"gate {x}: not a gate tuple")
-            kind = g[0]
-            if kind == "imp" or kind == "or" or kind == "and":
-                if len(g) != 3:
-                    raise ValueError(f"gate {x}: {kind} with {len(g) - 1} fields")
-                _, a, b = g
-                if not (type(a) is int and 0 <= a < x):
-                    raise ValueError(f"gate {x}: bad reference {a!r}")
-                if not (type(b) is int and 0 <= b < x):
-                    raise ValueError(f"gate {x}: bad reference {b!r}")
-                done[x] = 1
-                if not done[a]:
-                    stack.append(a)
-                if not done[b]:
-                    stack.append(b)
-                continue
-            if kind != "not" and kind != "var" and kind != "const":
-                raise ValueError(f"gate {x}: unknown kind {kind!r}")
-            if len(g) != 2:
-                raise ValueError(f"gate {x}: {kind} with {len(g) - 1} fields")
-            v = g[1]
-            if kind == "not":
-                if not (type(v) is int and 0 <= v < x):
-                    raise ValueError(f"gate {x}: bad reference {v!r}")
-                if not done[v]:
-                    stack.append(v)
-            elif kind == "var":
-                if not (type(v) is int and 1 <= v <= self.n_vars):
-                    raise ValueError(f"gate {x}: input {v!r} out of range")
-            elif not (type(v) is int and 0 <= v <= 1):
-                raise ValueError(f"gate {x}: bad constant {v!r}")
-            done[x] = 1
-
-    def is_term(self, node: int, term) -> bool:
-        """Whether ``node``, whose cone is checked, is gate for gate the
-        :data:`_TERMS` term ``term``."""
-        if type(term) is int:
-            return node == term
-        g = self.nodes[node]
-        kind = term[0]
-        if g[0] != kind:
-            return False
-        if kind == "const":
-            return g[1] == term[1]
-        if not self.is_term(g[1], term[1]):
-            return False
-        return kind == "not" or self.is_term(g[2], term[2])
+def _is_term(nodes: Sequence[tuple], node: int, term) -> bool:
+    """Whether ``node``, whose cone is checked, is gate for gate the
+    :data:`_TERMS` term ``term``."""
+    if type(term) is int:
+        return node == term
+    g = nodes[node]
+    kind = term[0]
+    if g[0] != kind:
+        return False
+    if kind == "const":
+        return g[1] == term[1]
+    if not _is_term(nodes, g[1], term[1]):
+        return False
+    return kind == "not" or _is_term(nodes, g[2], term[2])
 
 
 @nogc
@@ -359,8 +297,8 @@ def cf_check(proof: CfProof) -> CheckReport:
     0: a proof's size is ``len(cf_serialize(proof).encode())``.
 
     Each line first has the cone of its circuit checked gate by gate
-    (:class:`_CheckedGates`), so the first malformed gate fails the first
-    line that reaches it.  A line whose circuit is *literally* what its
+    (:func:`~proofbench.core.check_cone`), so the first malformed gate fails
+    the first line that reaches it.  A line whose circuit is *literally* what its
     rule asks for then passes at once: a schema line whose gates match the
     schema's constructor run on its argument nodes, or an MP line whose
     major premise's gate is ``imp`` of the minor premise and this line.  That is
@@ -373,8 +311,9 @@ def cf_check(proof: CfProof) -> CheckReport:
     arena = proof.arena
     nodes = arena.nodes
     lines = proof.lines
+    n_vars = arena.n_vars
     ct = CanonTable(arena)
-    gates = _CheckedGates(arena)
+    done = bytearray(len(nodes))
 
     def fail(step: int, reason: str) -> CheckReport:
         return CheckReport(False, step, reason, len(lines), 0)
@@ -405,26 +344,26 @@ def cf_check(proof: CfProof) -> CheckReport:
                     return fail(
                         t, f"bad instantiation: schema {idx} takes {arity} arguments, got {len(sigma)}"
                     )
-                gates.check_cone(node)
-                if not gates.is_term(node, make(_TERMS, *sigma)):
+                check_cone(nodes, n_vars, node, done)
+                if not _is_term(nodes, node, make(_TERMS, *sigma)):
                     for s in sigma:
-                        gates.check_cone(s)
+                        check_cone(nodes, n_vars, s, done)
                     if ct.canon(node) != make(ct, *[ct.canon(s) for s in sigma]):
                         return fail(t, "line does not match its schema instance")
             elif rule == "mp":
                 j1, j2 = just[1], just[2]
                 if not (type(j1) is type(j2) is int and 0 <= j1 < t and 0 <= j2 < t):
                     return fail(t, "premise index out of range")
-                gates.check_cone(node)
+                check_cone(nodes, n_vars, node, done)
                 major, minor = lines[j1][0], lines[j2][0]
                 if nodes[major] != ("imp", minor, node):
-                    if ct.canon(major) != ct.mk_imp(ct.canon(minor), ct.canon(node)):
+                    if ct.canon(major) != ct.imp(ct.canon(minor), ct.canon(node)):
                         return fail(t, "major premise does not imply this line")
             else:
                 j = just[1]
                 if type(j) is not int or not 0 <= j < t:
                     return fail(t, "premise index out of range")
-                gates.check_cone(node)
+                check_cone(nodes, n_vars, node, done)
                 if ct.canon(lines[j][0]) != ct.canon(node):
                     return fail(t, "line is not a canonization of its premise")
         except ValueError as e:
@@ -627,7 +566,7 @@ class _Gamma:
         pc = ct.canon(pivot)
         npivot = self.b.not_(pivot)
         a_parts = [p for p in g1[1] if ct.canon(p) != pc]
-        b_parts = [p for p in g2[1] if ct.canon(p) != ct.mk_not(pc)]
+        b_parts = [p for p in g2[1] if ct.canon(p) != ct.not_(pc)]
         da = self.b.or_many(a_parts)
         db = self.b.or_many(b_parts)
         c = self.b.or_(da, db)

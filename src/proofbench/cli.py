@@ -358,6 +358,8 @@ def _run_tasks(fn, tasks: list, workers: int) -> list:
 
 
 def _exp_lrfn_nontaut(args: argparse.Namespace) -> tuple[dict, list, dict, bool]:
+    if args.count < 1:
+        raise UsageError("--count must be at least 1")
     n = int(args.n)
     ms = [int(x) for x in str(args.m).split(",")]
     if len(ms) >= 2 and len(set(ms)) < 2:
@@ -385,6 +387,8 @@ def _exp_lrfn_nontaut(args: argparse.Namespace) -> tuple[dict, list, dict, bool]
 
 
 def _exp_am_roundtrip(args: argparse.Namespace) -> tuple[dict, list, dict, bool]:
+    if args.count < 1:
+        raise UsageError("--count must be at least 1")
     n = int(args.n)
     p = parse_poly(args.p) if args.p else (0, 1)
     q = parse_poly(args.q) if args.q else (0, 0, 0, 1)
@@ -451,6 +455,8 @@ CF_DEGREES = {"m": 2, "n": 2, "k": 1}
 
 def _exp_rfn_cf_sizes(args: argparse.Namespace) -> tuple[dict, list, dict, bool]:
     top = args.max
+    if top < 1:
+        raise UsageError("--max must be at least 1")
     params = {"max": top}
     grid = [
         (m, n, k)

@@ -261,35 +261,59 @@ Gate = tuple
 GATE_KINDS = ("var", "const", "not", "and", "or", "imp")
 
 
-def check_gate(x: int, g: Gate, n_vars: int) -> None:
-    """Raise ``ValueError`` naming gate ``x`` unless ``g`` is well formed as
-    gate ``x`` of a circuit over inputs ``1..n_vars``.
+def check_cone(nodes: Sequence[Gate], n_vars: int, root: int, done: bytearray) -> None:
+    """Check the gates of ``root``'s cone in ``nodes`` not marked in
+    ``done``, marking each one passed; raise ``ValueError`` naming the first
+    refused gate, after which ``done`` is not used again.
 
-    A well-formed gate is a tuple of a kind in :data:`GATE_KINDS` with
-    exactly its fields: an ``int`` input in ``1..n_vars``, an ``int``
-    constant 0 or 1, or ``int`` children below ``x``, which rules out
-    cycles.  :class:`Circuit` and :func:`parse_gates` refuse a gate through
-    this rule.  ``cfrege._CheckedGates.check_cone``, the walk by which
-    ``cf_check`` validates a line's cone, keeps an inline copy of it on its
-    hot path, which the tests pin to this one, message for message.
+    This is the one gate rule.  A well-formed gate ``x`` is a tuple of a
+    kind in :data:`GATE_KINDS` with exactly its fields: an ``int`` input in
+    ``1..n_vars``, an ``int`` constant 0 or 1, or ``int`` children below
+    ``x``, which rules out cycles.  :class:`Circuit` and :func:`parse_gates`
+    pass each gate as ``root`` in ascending order, so each call checks that
+    one gate; ``cf_check`` passes each line's circuit, so each gate of a
+    proof is checked once.  The walk is depth first, second child first, so
+    it meets a refused gate where the canonical-form walk would.
     """
-    if type(g) is not tuple or not g:
-        raise ValueError(f"gate {x}: not a gate tuple")
-    kind = g[0]
-    if kind not in GATE_KINDS:
-        raise ValueError(f"gate {x}: unknown kind {kind!r}")
-    if len(g) != (3 if kind in ("and", "or", "imp") else 2):
-        raise ValueError(f"gate {x}: {kind} with {len(g) - 1} fields")
-    if kind == "var":
-        if not (type(g[1]) is int and 1 <= g[1] <= n_vars):
-            raise ValueError(f"gate {x}: input {g[1]!r} out of range")
-    elif kind == "const":
-        if not (type(g[1]) is int and 0 <= g[1] <= 1):
-            raise ValueError(f"gate {x}: bad constant {g[1]!r}")
-    else:
-        for a in g[1:]:
+    stack = [root]
+    while stack:
+        x = stack.pop()
+        if done[x]:
+            continue
+        g = nodes[x]
+        if type(g) is not tuple or not g:
+            raise ValueError(f"gate {x}: not a gate tuple")
+        kind = g[0]
+        if kind == "imp" or kind == "or" or kind == "and":
+            if len(g) != 3:
+                raise ValueError(f"gate {x}: {kind} with {len(g) - 1} fields")
+            _, a, b = g
             if not (type(a) is int and 0 <= a < x):
                 raise ValueError(f"gate {x}: bad reference {a!r}")
+            if not (type(b) is int and 0 <= b < x):
+                raise ValueError(f"gate {x}: bad reference {b!r}")
+            done[x] = 1
+            if not done[a]:
+                stack.append(a)
+            if not done[b]:
+                stack.append(b)
+            continue
+        if kind != "not" and kind != "var" and kind != "const":
+            raise ValueError(f"gate {x}: unknown kind {kind!r}")
+        if len(g) != 2:
+            raise ValueError(f"gate {x}: {kind} with {len(g) - 1} fields")
+        v = g[1]
+        if kind == "not":
+            if not (type(v) is int and 0 <= v < x):
+                raise ValueError(f"gate {x}: bad reference {v!r}")
+            if not done[v]:
+                stack.append(v)
+        elif kind == "var":
+            if not (type(v) is int and 1 <= v <= n_vars):
+                raise ValueError(f"gate {x}: input {v!r} out of range")
+        elif not (type(v) is int and 0 <= v <= 1):
+            raise ValueError(f"gate {x}: bad constant {v!r}")
+        done[x] = 1
 
 
 @dataclass(frozen=True)
@@ -304,8 +328,9 @@ class Circuit:
             raise ValueError(f"negative input count {self.n_vars}")
         if not self.gates:
             raise ValueError("empty circuit")
-        for x, g in enumerate(self.gates):
-            check_gate(x, g, self.n_vars)
+        done = bytearray(len(self.gates))
+        for x in range(len(self.gates)):
+            check_cone(self.gates, self.n_vars, x, done)
 
     @property
     def output(self) -> int:
@@ -672,6 +697,7 @@ def parse_gates(text: str) -> Circuit:
     check_numbers(text)
     n_vars = None
     gates: list[Gate] = []
+    done = bytearray()
     out: int | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split()
@@ -697,8 +723,9 @@ def parse_gates(text: str) -> Circuit:
             else:
                 read = int if parts[2] in ("var", "const") else _gate_ref
                 g = (parts[2], *map(read, parts[3:]))
-                check_gate(len(gates), g, n_vars)
                 gates.append(g)
+                done.append(0)
+                check_cone(gates, n_vars, len(gates) - 1, done)
         except ValueError as e:
             raise ValueError(f"line {lineno}: {e}") from None
     if n_vars is None or out is None:

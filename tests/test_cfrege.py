@@ -12,7 +12,6 @@ import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,11 +30,11 @@ from proofbench.cfrege import (
     lrfn_from_rfn,
 )
 from proofbench.core import (
+    GATE_KINDS,
     Circuit,
     CircuitBuilder,
     _eval_packed,
     _input_column,
-    check_gate,
     cnf,
     cone,
     eval_circuit,
@@ -311,28 +310,63 @@ ANY_GATES = st.one_of(
 )
 
 
+def check_gate(x: int, g, n_vars: int) -> None:
+    """The gate rule, written out on its own as a reference for
+    ``core.check_cone``: raise ``ValueError`` naming gate ``x`` unless
+    ``g`` is well formed as gate ``x`` of a circuit over inputs
+    ``1..n_vars``.
+
+    A well-formed gate is a tuple of a kind in ``GATE_KINDS`` with exactly
+    its fields: an ``int`` input in ``1..n_vars``, an ``int`` constant 0 or
+    1, or ``int`` children below ``x``, which rules out cycles.
+    """
+    if type(g) is not tuple or not g:
+        raise ValueError(f"gate {x}: not a gate tuple")
+    kind = g[0]
+    if kind not in GATE_KINDS:
+        raise ValueError(f"gate {x}: unknown kind {kind!r}")
+    if len(g) != (3 if kind in ("and", "or", "imp") else 2):
+        raise ValueError(f"gate {x}: {kind} with {len(g) - 1} fields")
+    if kind == "var":
+        if not (type(g[1]) is int and 1 <= g[1] <= n_vars):
+            raise ValueError(f"gate {x}: input {g[1]!r} out of range")
+    elif kind == "const":
+        if not (type(g[1]) is int and 0 <= g[1] <= 1):
+            raise ValueError(f"gate {x}: bad constant {g[1]!r}")
+    else:
+        for a in g[1:]:
+            if not (type(a) is int and 0 <= a < x):
+                raise ValueError(f"gate {x}: bad reference {a!r}")
+
+
 @settings(deadline=None, max_examples=200)
 @given(gates=st.lists(ANY_GATES, min_size=1, max_size=6))
 def test_circuit_and_cf_check_refuse_the_same_gates(gates):
-    # One gate rule: appending a gate to a valid gate list makes a Circuit
-    # exactly when cf_check of a line naming that gate finds no malformed
-    # arena, and a refusal reads the same from both.  Accepted gates stay, so on ever larger Circuits the one-bit
-    # evaluator must read the packed truth table.
+    # Appending a gate to a valid gate list: Circuit, and cf_check of a
+    # line naming that gate, each refuse it exactly when the reference rule
+    # does, with its message.  Accepted gates stay, so on ever larger
+    # Circuits the one-bit evaluator must read the packed truth table.
     arena = CircuitBuilder(2)
     true = arena.const(1)
     arena.imp(arena.var(1), arena.not_(arena.var(2)))
     for g in gates:
         x = len(arena.nodes)
+        try:
+            check_gate(x, g, 2)
+            refusal = None
+        except ValueError as e:
+            refusal = str(e)
         arena.nodes.append(g)
         report = cf_check(CfProof(arena, ((true, ("schema", 9, ())), (x, ("canon", 0)))))
-        try:
-            c = Circuit(2, tuple(arena.nodes))
-        except ValueError as e:
-            # the same refusal, word for word: cf_check's walk is check_gate
-            assert report.reason == f"malformed arena: {e}"
+        if refusal is not None:
+            assert report.reason == f"malformed arena: {refusal}"
+            with pytest.raises(ValueError) as e:
+                Circuit(2, tuple(arena.nodes))
+            assert str(e.value) == refusal
             arena.nodes.pop()
             continue
         assert report.ok or "malformed arena" not in report.reason
+        c = Circuit(2, tuple(arena.nodes))
         table = _tt(c)
         for a in range(4):
             assert eval_circuit(c, (a & 1, a >> 1)) == bool(table >> a & 1)
@@ -384,18 +418,11 @@ def _reference_check(proof: CfProof) -> tuple:
     each line's circuit, each premise, and each schema instance, the
     instance built in canonical space from the canonical ids of its
     arguments.  Its walk is the canonical-form walk that put every gate to
-    ``check_gate`` as it came to the top of the stack."""
+    the reference rule ``check_gate`` as it came to the top of the stack."""
     arena = proof.arena
     nodes = arena.nodes
     lines = proof.lines
     ct = CanonTable(arena)
-    space = SimpleNamespace(
-        not_=ct.mk_not,
-        imp=ct.mk_imp,
-        and_=lambda a, b: ct.mk_op("and", a, b),
-        or_=lambda a, b: ct.mk_op("or", a, b),
-        const=lambda v: ct.TRUE if v else ct.FALSE,
-    )
     memo: dict[int, int] = {}
 
     def canon(node: int) -> int:
@@ -414,7 +441,7 @@ def _reference_check(proof: CfProof) -> tuple:
                 if ca is None:
                     stack.append(g[1])
                     continue
-                memo[x] = ct.mk_not(ca)
+                memo[x] = ct.not_(ca)
             else:
                 _, a, b = g
                 ca, cb = memo.get(a), memo.get(b)
@@ -424,7 +451,7 @@ def _reference_check(proof: CfProof) -> tuple:
                     if cb is None:
                         stack.append(b)
                     continue
-                memo[x] = ct.mk_imp(ca, cb) if kind == "imp" else ct.mk_op(kind, ca, cb)
+                memo[x] = ct.imp(ca, cb) if kind == "imp" else ct.mk_op(kind, ca, cb)
             stack.pop()
         return memo[node]
 
@@ -452,13 +479,13 @@ def _reference_check(proof: CfProof) -> tuple:
                 if len(sigma) != arity:
                     return False, t, f"bad instantiation: schema {idx} takes {arity} arguments, got {len(sigma)}"
                 here = canon(node)
-                if here != make(space, *[canon(s) for s in sigma]):
+                if here != make(ct, *[canon(s) for s in sigma]):
                     return False, t, "line does not match its schema instance"
             elif rule == "mp":
                 j1, j2 = just[1], just[2]
                 if not (type(j1) is type(j2) is int and 0 <= j1 < t and 0 <= j2 < t):
                     return False, t, "premise index out of range"
-                want = ct.mk_imp(canon(lines[j2][0]), canon(node))
+                want = ct.imp(canon(lines[j2][0]), canon(node))
                 if canon(lines[j1][0]) != want:
                     return False, t, "major premise does not imply this line"
             else:
@@ -630,7 +657,7 @@ def test_canon_collapses_standard_identities():
 class _SortSetCanon(CanonTable):
     """Reference canonizer: ``mk_op`` flattens, sorts and deduplicates
     every call, and scans the whole result for complement pairs.  ``calls``
-    counts them, so a test can tell that ``canon`` and ``mk_imp`` reached
+    counts them, so a test can tell that ``canon`` and ``imp`` reached
     this ``mk_op`` rather than going around it."""
 
     calls = 0
@@ -712,11 +739,11 @@ def test_canonical_forms_match_the_sort_set_reference(drawn):
     # the same forms were interned, in the same order
     assert ct._forms == ref._forms
     # every binary gate went through the reference's mk_op, and the check
-    # of mk_imp on its own does too
+    # of imp on its own does too
     binary = sum(1 for g in arena.nodes if g[0] in ("and", "or", "imp"))
     assert ref.calls == binary
     x = ref.canon(pool[0])
-    assert ref.mk_imp(x, x) == ct.mk_imp(x, x) == ct.TRUE and ref.calls == binary + 1
+    assert ref.imp(x, x) == ct.imp(x, x) == ct.TRUE and ref.calls == binary + 1
 
 
 # ---------------------------------------------------------------------------

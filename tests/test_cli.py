@@ -172,6 +172,10 @@ def test_encode_rejects_mismatched_dimensions(tmp_path, capsys):
         ["experiment", "lrfn-nontaut", "--count", "1", "--m", "8,8", "--n", "2", "--k", "2"],
         ["experiment", "lrfn-nontaut", "--n", "x"],
         ["experiment", "am-roundtrip", "--n", "x"],
+        ["experiment", "lrfn-nontaut", "--count", "0", "--m", "2,3"],
+        ["experiment", "lrfn-nontaut", "--count", "-1", "--m", "2,3"],
+        ["experiment", "am-roundtrip", "--count", "0"],
+        ["experiment", "rfn-cf-sizes", "--max", "0"],
     ],
 )
 def test_bad_parameter_is_exit_two(tmp_path, capsys, argv):
@@ -275,6 +279,21 @@ def test_every_private_helper_has_a_program_caller():
         if name.startswith("_") and not name.startswith("__") and name not in used
     ]
     assert dead == []
+
+
+def test_gate_rule_is_written_once():
+    # The trusted base applies one gate rule: only one function may spell
+    # out its refusals, so no second copy can drift from it.
+    pkg = Path(cli.__file__).parent
+    holders = {
+        f"{path.stem}.{fn.name}"
+        for path in sorted(pkg.glob("*.py"))
+        for fn in ast.walk(ast.parse(path.read_text()))
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and "unknown kind" in node.value
+    }
+    assert holders == {"core.check_cone"}
 
 
 def test_package_has_no_assert():
