@@ -88,11 +88,20 @@ def parse_poly(text: str) -> tuple[int, ...]:
 
 
 def _parse_ladder(text: str) -> list[int]:
-    """``"1..3"`` or ``"1,2,3"`` -> [1, 2, 3]."""
+    """``"1..3"`` or ``"1,2,3"`` -> [1, 2, 3]; an empty range is refused."""
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
+        ladder = list(range(int(lo), int(hi) + 1))
+        if not ladder:
+            raise UsageError(f"empty ladder {text!r}")
+        return ladder
     return [int(x) for x in text.split(",")]
+
+
+def _at_least_one(flag: str, *values: int) -> None:
+    """Refuse a count or size option, before any work, when a value is < 1."""
+    if any(v < 1 for v in values):
+        raise UsageError(f"--{flag} must be at least 1")
 
 
 def _read_text(path: str) -> str:
@@ -358,10 +367,12 @@ def _run_tasks(fn, tasks: list, workers: int) -> list:
 
 
 def _exp_lrfn_nontaut(args: argparse.Namespace) -> tuple[dict, list, dict, bool]:
-    if args.count < 1:
-        raise UsageError("--count must be at least 1")
+    _at_least_one("count", args.count)
     n = int(args.n)
-    ms = [int(x) for x in str(args.m).split(",")]
+    _at_least_one("n", n)
+    _at_least_one("k", args.k)
+    ms = _parse_ladder(args.m)
+    _at_least_one("m", *ms)
     if len(ms) >= 2 and len(set(ms)) < 2:
         # the degree fit needs two distinct points; say so before any work
         raise UsageError("--m ladder needs at least two distinct values")
@@ -387,9 +398,9 @@ def _exp_lrfn_nontaut(args: argparse.Namespace) -> tuple[dict, list, dict, bool]
 
 
 def _exp_am_roundtrip(args: argparse.Namespace) -> tuple[dict, list, dict, bool]:
-    if args.count < 1:
-        raise UsageError("--count must be at least 1")
+    _at_least_one("count", args.count)
     n = int(args.n)
+    _at_least_one("n", n)
     p = parse_poly(args.p) if args.p else (0, 1)
     q = parse_poly(args.q) if args.q else (0, 0, 0, 1)
     params = {"count": args.count, "n": n, "p": list(p), "q": list(q), "seed": args.seed}
@@ -426,6 +437,7 @@ def _exp_lowerbound_trend(args: argparse.Namespace) -> tuple[dict, list, dict, b
     if args.family != "unsat-pairs":
         raise UsageError(f"unknown instance family {args.family!r}")
     ladder = _parse_ladder(args.n)
+    _at_least_one("n", *ladder)
     budgets = [int(x) for x in args.max_lines.split(",")]
     if len(budgets) == 1:
         budgets = budgets * len(ladder)
@@ -455,8 +467,7 @@ CF_DEGREES = {"m": 2, "n": 2, "k": 1}
 
 def _exp_rfn_cf_sizes(args: argparse.Namespace) -> tuple[dict, list, dict, bool]:
     top = args.max
-    if top < 1:
-        raise UsageError("--max must be at least 1")
+    _at_least_one("max", top)
     params = {"max": top}
     grid = [
         (m, n, k)

@@ -417,15 +417,15 @@ def _input_column(i: int, n_vars: int) -> int:
 TABLE_CHUNK_BITS = 17
 
 
-def truth_table_chunks(c: Circuit) -> tuple[list[int], Iterator[int]]:
+def truth_table_chunks(c: Circuit) -> tuple[list[int], int, Iterator[int]]:
     """The *support* of ``c``, the inputs its output's :func:`cone` reads,
-    ascending, and the truth table over them in order, in chunks of
-    ``width = 2**min(s, TABLE_CHUNK_BITS)`` assignments for ``s`` support
-    inputs.  Bit ``r`` of chunk ``j`` is the output when ``support[p]``
-    takes bit ``p`` of ``j * width + r`` and every other input is 0.  Within
-    a chunk the low support inputs take their periodic columns and the
-    others are constant.  The work is ``2**s`` assignments, not
-    ``2**n_vars``."""
+    ascending; the chunk width ``width = 2**min(s, TABLE_CHUNK_BITS)`` for
+    ``s`` support inputs, chosen here alone; and the truth table over the
+    support in order, in chunks of ``width`` assignments.  Bit ``r`` of
+    chunk ``j`` is the output when ``support[p]`` takes bit ``p`` of
+    ``j * width + r`` and every other input is 0.  Within a chunk the low
+    support inputs take their periodic columns and the others are
+    constant.  The work is ``2**s`` assignments, not ``2**n_vars``."""
     gates = c.gates
     support = sorted({gates[x][1] for x in cone(gates, [c.output]) if gates[x][0] == "var"})
     s = len(support)
@@ -438,7 +438,7 @@ def truth_table_chunks(c: Circuit) -> tuple[list[int], Iterator[int]]:
         cols.update((v, mask * (j >> p & 1)) for p, v in enumerate(support[b:]))
         return cols.__getitem__
 
-    return support, _eval_packed(c, ((chunk(j), mask) for j in range(1 << (s - b))))
+    return support, 1 << b, _eval_packed(c, ((chunk(j), mask) for j in range(1 << (s - b))))
 
 
 def cone(nodes: Sequence[Gate], roots: Iterable[int]) -> list[int]:

@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
-from .core import TABLE_CHUNK_BITS, Circuit, Cnf, truth_table_chunks
+from .core import Circuit, Cnf, truth_table_chunks
 from .resolution import ResolutionProof, check_refutation
 
 
@@ -67,11 +67,9 @@ def is_tautology(c: Circuit, budget: SearchBudget = DEFAULT_BUDGET):
     if n >= max(budget.max_assignments, 0).bit_length():  # 2**n > max_assignments
         return ("exhausted",)
     deadline = budget.deadline()
-    support, chunks = truth_table_chunks(c)
-    s = len(support)
-    width = 1 << min(s, TABLE_CHUNK_BITS)
+    support, width, chunks = truth_table_chunks(c)
     mask = (1 << width) - 1
-    last = (1 << s) // width - 1
+    last = (1 << len(support)) // width - 1
     for j, chunk in enumerate(chunks):
         missing = chunk ^ mask
         if missing:

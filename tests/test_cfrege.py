@@ -837,15 +837,30 @@ def test_rfn_res_frozen_line_counts():
 
 def test_rfn_res_proof_bytes_are_pinned():
     # The writer dedups lines by canonical id, so any slip in the canonical
-    # forms changes which lines are written, and with them the text.
+    # forms changes which lines are written, and with them the text.  The
+    # arena size also catches nodes that no line names.
     expected = {
-        (1, 1, 1): "370eb24749297cf6",
-        (2, 2, 2): "b194fe68e2d4c40a",
-        (3, 3, 3): "abd63a0241231e3a",
+        (1, 1, 1): ("370eb24749297cf6", 1058),
+        (2, 2, 2): ("b194fe68e2d4c40a", 8907),
+        (3, 3, 3): ("abd63a0241231e3a", 31033),
+        (4, 2, 3): ("a65ea3a692809042", 31903),
     }
-    for shape, digest in expected.items():
-        text = cf_serialize(cf_prove_rfn_res(*shape, check=False))
-        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+    for shape, (digest, arena_nodes) in expected.items():
+        proof = cf_prove_rfn_res(*shape, check=False)
+        text = cf_serialize(proof)
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest, shape
+        assert len(proof.arena.nodes) == arena_nodes, shape
+
+
+def test_sat_equiv_bytes_are_pinned():
+    expected = {
+        cnf(1, [[1]]): "6e8a49fadcc0a942",
+        cnf(2, [[1, -2], [2]]): "af75f616b0bc49d4",
+        cnf(3, [[1, 2, 3], [-1], [-2, 3]]): "fe62a64774368f3b",
+    }
+    for f, digest in expected.items():
+        text = cf_serialize(cf_prove_sat_equiv(f))
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest, f
 
 
 def test_rfn_res_unchecked_build_then_check():

@@ -176,6 +176,13 @@ def test_encode_rejects_mismatched_dimensions(tmp_path, capsys):
         ["experiment", "lrfn-nontaut", "--count", "-1", "--m", "2,3"],
         ["experiment", "am-roundtrip", "--count", "0"],
         ["experiment", "rfn-cf-sizes", "--max", "0"],
+        ["experiment", "lrfn-nontaut", "--n", "0", "--count", "2", "--m", "2,3"],
+        ["experiment", "lrfn-nontaut", "--k", "0", "--count", "2", "--m", "2,3"],
+        ["experiment", "lrfn-nontaut", "--count", "2", "--m", "2,0"],
+        ["experiment", "lrfn-nontaut", "--count", "2", "--m", "3..2"],
+        ["experiment", "am-roundtrip", "--n", "0"],
+        ["experiment", "lowerbound-trend", "--n", "0", "--max-lines", "10"],
+        ["experiment", "lowerbound-trend", "--n", "0..2"],
     ],
 )
 def test_bad_parameter_is_exit_two(tmp_path, capsys, argv):
@@ -195,6 +202,27 @@ def test_lrfn_ladder_is_checked_before_any_work(monkeypatch, capsys):
     argv = ["experiment", "lrfn-nontaut", "--count", "50", "--m", "8,8", "--n", "2", "--k", "2"]
     assert main(argv) == 2
     assert capsys.readouterr().err == "error: --m ladder needs at least two distinct values\n"
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["lrfn-nontaut", "--n", "0", "--count", "2", "--m", "2,3"], "n"),
+        (["lrfn-nontaut", "--n", "2", "--k", "-1", "--m", "2,3"], "k"),
+        (["lrfn-nontaut", "--n", "2", "--m", "4,0,8"], "m"),
+        (["am-roundtrip", "--n", "0", "--count", "2"], "n"),
+        (["lowerbound-trend", "--n", "0", "--max-lines", "10"], "n"),
+        (["lowerbound-trend", "--n", "2,0,3", "--max-lines", "5"], "n"),
+    ],
+)
+def test_option_below_one_is_named_before_any_work(monkeypatch, capsys, argv, flag):
+    def reached(*args, **kwargs):
+        raise AssertionError("sampled or ran tasks before the options were checked")
+
+    monkeypatch.setattr(cli, "_sample_with_status", reached)
+    monkeypatch.setattr(cli, "_run_tasks", reached)
+    assert main(["experiment"] + argv) == 2
+    assert capsys.readouterr().err == f"error: --{flag} must be at least 1\n"
 
 
 def test_strongly_friendly_refuses_sizes_it_cannot_build(monkeypatch, capsys):
