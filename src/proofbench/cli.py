@@ -98,12 +98,6 @@ def _parse_ladder(text: str) -> list[int]:
     return [int(x) for x in text.split(",")]
 
 
-def _at_least_one(flag: str, *values: int) -> None:
-    """Refuse a count or size option, before any work, when a value is < 1."""
-    if any(v < 1 for v in values):
-        raise UsageError(f"--{flag} must be at least 1")
-
-
 def _read_text(path: str) -> str:
     with open(path, encoding="ascii") as fh:
         return fh.read()
@@ -365,22 +359,18 @@ def _run_tasks(fn, tasks: list, workers: int) -> list:
 # ---------------------------------------------------------------------------
 # experiment suites
 
+_Result = tuple[dict, list, dict, bool]  # parameters, records, aggregate, ok
 
-def _exp_lrfn_nontaut(args: argparse.Namespace) -> tuple[dict, list, dict, bool]:
-    _at_least_one("count", args.count)
-    n = int(args.n)
-    _at_least_one("n", n)
-    _at_least_one("k", args.k)
-    ms = _parse_ladder(args.m)
-    _at_least_one("m", *ms)
+
+def _exp_lrfn_nontaut(count: int, n: int, k: int, ms: list, seed: int, workers: int) -> _Result:
     if len(ms) >= 2 and len(set(ms)) < 2:
         # the degree fit needs two distinct points; say so before any work
         raise UsageError("--m ladder needs at least two distinct values")
-    params = {"count": args.count, "n": n, "k": args.k, "m": ms, "seed": args.seed}
-    rng = random.Random(args.seed)
-    instances = [_sample_with_status(rng, "sat", n, args.k) for _ in range(args.count)]
+    params = {"count": count, "n": n, "k": k, "m": ms, "seed": seed}
+    rng = random.Random(seed)
+    instances = [_sample_with_status(rng, "sat", n, k) for _ in range(count)]
     tasks = [(f, model, m) for f, model in instances for m in ms]
-    records = _run_tasks(_lrfn_task, tasks, args.workers)
+    records = _run_tasks(_lrfn_task, tasks, workers)
     fits = {}
     if len(ms) >= 2:
         per = [
@@ -388,7 +378,7 @@ def _exp_lrfn_nontaut(args: argparse.Namespace) -> tuple[dict, list, dict, bool]
                 [float(m) for m in ms],
                 [records[i * len(ms) + j]["lines"] for j in range(len(ms))],
             )
-            for i in range(args.count)
+            for i in range(count)
         ]
         fits["degree_in_m"] = round(sum(per) / len(per), 3)
     valid = sum(1 for r in records if r["valid"] and r["within_bound"])
@@ -397,22 +387,17 @@ def _exp_lrfn_nontaut(args: argparse.Namespace) -> tuple[dict, list, dict, bool]
     return params, records, aggregate, ok
 
 
-def _exp_am_roundtrip(args: argparse.Namespace) -> tuple[dict, list, dict, bool]:
-    _at_least_one("count", args.count)
-    n = int(args.n)
-    _at_least_one("n", n)
-    p = parse_poly(args.p) if args.p else (0, 1)
-    q = parse_poly(args.q) if args.q else (0, 0, 0, 1)
-    params = {"count": args.count, "n": n, "p": list(p), "q": list(q), "seed": args.seed}
-    rng = random.Random(args.seed)
+def _exp_am_roundtrip(count: int, n: int, p: tuple, q: tuple, seed: int, workers: int) -> _Result:
+    params = {"count": count, "n": n, "p": list(p), "q": list(q), "seed": seed}
+    rng = random.Random(seed)
     tasks = []
-    for idx in range(args.count):
+    for idx in range(count):
         want = "sat" if idx % 2 == 0 else "unsat"
         got = _sample_with_status(rng, want, n, 2 * n)
         f = got[0]
         model = got[1] if want == "sat" else None
         tasks.append((f, want, model, p, q))
-    records = _run_tasks(_am_task, tasks, args.workers)
+    records = _run_tasks(_am_task, tasks, workers)
     correct = sum(1 for r in records if r["direction_ok"])
     skipped = sum(1 for r in records if r["direction_ok"] is None)
     aggregate = {
@@ -433,19 +418,14 @@ def _unsat_pair_family(n: int) -> Cnf:
     return cnf(n, clauses)
 
 
-def _exp_lowerbound_trend(args: argparse.Namespace) -> tuple[dict, list, dict, bool]:
-    if args.family != "unsat-pairs":
-        raise UsageError(f"unknown instance family {args.family!r}")
-    ladder = _parse_ladder(args.n)
-    _at_least_one("n", *ladder)
-    budgets = [int(x) for x in args.max_lines.split(",")]
+def _exp_lowerbound_trend(ladder: list, budgets: list, workers: int) -> _Result:
     if len(budgets) == 1:
         budgets = budgets * len(ladder)
     if len(budgets) != len(ladder):
         raise UsageError("--max-lines needs one value, or one per ladder point")
-    params = {"family": args.family, "n": ladder, "max_lines": budgets}
+    params = {"family": "unsat-pairs", "n": ladder, "max_lines": budgets}
     tasks = [(_unsat_pair_family(n), b) for n, b in zip(ladder, budgets)]
-    records = _run_tasks(_trend_task, tasks, args.workers)
+    records = _run_tasks(_trend_task, tasks, workers)
     known = [r["value"] for r in records if r["value"] is not None]
     nondecreasing = all(a <= b for a, b in zip(known, known[1:]))
     aggregate = {
@@ -465,9 +445,7 @@ CF_BOUND_COEFF = 360
 CF_DEGREES = {"m": 2, "n": 2, "k": 1}
 
 
-def _exp_rfn_cf_sizes(args: argparse.Namespace) -> tuple[dict, list, dict, bool]:
-    top = args.max
-    _at_least_one("max", top)
+def _exp_rfn_cf_sizes(top: int, workers: int) -> _Result:
     params = {"max": top}
     grid = [
         (m, n, k)
@@ -475,7 +453,7 @@ def _exp_rfn_cf_sizes(args: argparse.Namespace) -> tuple[dict, list, dict, bool]
         for n in range(1, top + 1)
         for k in range(1, top + 1)
     ]
-    records = _run_tasks(_cf_task, grid, args.workers)
+    records = _run_tasks(_cf_task, grid, workers)
     sizes = {(r["m"], r["n"], r["k"]): r["lines"] for r in records}
     fits = {}
     if top >= 2:
@@ -501,11 +479,20 @@ def _exp_rfn_cf_sizes(args: argparse.Namespace) -> tuple[dict, list, dict, bool]
     return params, records, aggregate, ok
 
 
+# Each suite with the options it reads, in the order it takes them: (name,
+# reader, default, refuse values below 1).  Every suite also takes --report.
+_COUNT, _N, _SEED = ("count", int, "100", True), ("n", int, "6", True), ("seed", int, "0", False)
+_WORKERS = ("workers", int, "1", True)
 EXPERIMENTS = {
-    "lrfn-nontaut": _exp_lrfn_nontaut,
-    "am-roundtrip": _exp_am_roundtrip,
-    "lowerbound-trend": _exp_lowerbound_trend,
-    "rfn-cf-sizes": _exp_rfn_cf_sizes,
+    "lrfn-nontaut": (_exp_lrfn_nontaut, (
+        _COUNT, _N, ("k", int, "8", True), ("m", _parse_ladder, "32", True), _SEED, _WORKERS)),
+    "am-roundtrip": (_exp_am_roundtrip, (
+        _COUNT, _N, ("p", parse_poly, "s", False), ("q", parse_poly, "s^3", False), _SEED,
+        _WORKERS)),
+    "lowerbound-trend": (_exp_lowerbound_trend, (
+        ("n", _parse_ladder, "1..3", True), ("max-lines", _parse_ladder, "11,10,10", True),
+        _WORKERS)),
+    "rfn-cf-sizes": (_exp_rfn_cf_sizes, (("max", int, "3", True), _WORKERS)),
 }
 
 
@@ -515,8 +502,21 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     ``dpll_valid`` for auxiliary upper-bound proofs); ``generated_at`` and
     ``wall_clock_s`` are the only fields that differ between identical
     invocations."""
+    suite, options = EXPERIMENTS[args.name]
+    values = []  # every option is read and range-checked here, before any work
+    for flag, read, _, positive in options:
+        text = getattr(args, flag.replace("-", "_"))
+        try:
+            value = read(text)
+        except ValueError:
+            raise UsageError(f"--{flag}: bad value {text!r}") from None
+        except UsageError as e:
+            raise UsageError(f"--{flag}: {e}") from None
+        if positive and min(value if isinstance(value, list) else [value]) < 1:
+            raise UsageError(f"--{flag} must be at least 1")
+        values.append(value)
     t0 = time.monotonic()
-    params, records, aggregate, ok = EXPERIMENTS[args.name](args)
+    params, records, aggregate, ok = suite(*values)
     report = {
         "experiment": args.name,
         "parameters": params,
@@ -570,19 +570,12 @@ def build_parser() -> argparse.ArgumentParser:
     chk.set_defaults(func=cmd_check)
 
     exp = sub.add_parser("experiment", help="run a batch suite, emit a JSON report")
-    exp.add_argument("name", choices=sorted(EXPERIMENTS))
-    exp.add_argument("--count", type=int, default=100)
-    exp.add_argument("--n", default="6")
-    exp.add_argument("--k", type=int, default=8)
-    exp.add_argument("--m", default="32")
-    exp.add_argument("--max", type=int, default=3, help="rfn-cf-sizes grid top")
-    exp.add_argument("--max-lines", default="11,10,10", help="lowerbound-trend search depths")
-    exp.add_argument("--family", default="unsat-pairs")
-    exp.add_argument("--p", help="line-budget polynomial in s")
-    exp.add_argument("--q", help="length-budget polynomial in s")
-    exp.add_argument("--seed", type=int, default=0)
-    exp.add_argument("--workers", type=int, default=1)
-    exp.add_argument("--report", help="write the JSON report here instead of stdout")
+    suites = exp.add_subparsers(dest="name", required=True)
+    for name, (_, options) in EXPERIMENTS.items():
+        suite = suites.add_parser(name, allow_abbrev=False)  # --max is not --max-lines
+        for flag, _, default, _ in options:
+            suite.add_argument(f"--{flag}", default=default, help=f"default {default}")
+        suite.add_argument("--report", help="write the JSON report here instead of stdout")
     exp.set_defaults(func=cmd_experiment)
     return top
 

@@ -183,6 +183,8 @@ def test_encode_rejects_mismatched_dimensions(tmp_path, capsys):
         ["experiment", "am-roundtrip", "--n", "0"],
         ["experiment", "lowerbound-trend", "--n", "0", "--max-lines", "10"],
         ["experiment", "lowerbound-trend", "--n", "0..2"],
+        ["experiment", "am-roundtrip", "--workers", "0"],
+        ["experiment", "rfn-cf-sizes", "--workers", "-1"],
     ],
 )
 def test_bad_parameter_is_exit_two(tmp_path, capsys, argv):
@@ -213,6 +215,9 @@ def test_lrfn_ladder_is_checked_before_any_work(monkeypatch, capsys):
         (["am-roundtrip", "--n", "0", "--count", "2"], "n"),
         (["lowerbound-trend", "--n", "0", "--max-lines", "10"], "n"),
         (["lowerbound-trend", "--n", "2,0,3", "--max-lines", "5"], "n"),
+        (["lowerbound-trend", "--max-lines", "-3"], "max-lines"),
+        (["lowerbound-trend", "--max-lines", "5,0"], "max-lines"),
+        (["am-roundtrip", "--workers", "0"], "workers"),
     ],
 )
 def test_option_below_one_is_named_before_any_work(monkeypatch, capsys, argv, flag):
@@ -223,6 +228,28 @@ def test_option_below_one_is_named_before_any_work(monkeypatch, capsys, argv, fl
     monkeypatch.setattr(cli, "_run_tasks", reached)
     assert main(["experiment"] + argv) == 2
     assert capsys.readouterr().err == f"error: --{flag} must be at least 1\n"
+
+
+@pytest.mark.parametrize(
+    "argv, flag, text",
+    [
+        (["lrfn-nontaut", "--n", "x"], "n", "x"),
+        (["lrfn-nontaut", "--m", "4,y"], "m", "4,y"),
+        (["lowerbound-trend", "--max-lines", "3,x"], "max-lines", "3,x"),
+    ],
+)
+def test_malformed_value_names_its_option(capsys, argv, flag, text):
+    assert main(["experiment"] + argv) == 2
+    assert capsys.readouterr().err == f"error: --{flag}: bad value '{text}'\n"
+
+
+@pytest.mark.parametrize(
+    "argv", [["lrfn-nontaut", "--p", "s"], ["rfn-cf-sizes", "--count", "0"]]
+)
+def test_suite_refuses_options_it_does_not_read(argv):
+    with pytest.raises(SystemExit) as e:
+        main(["experiment"] + argv)
+    assert e.value.code == 2
 
 
 def test_strongly_friendly_refuses_sizes_it_cannot_build(monkeypatch, capsys):
@@ -425,6 +452,22 @@ def test_experiment_report_volatile_keys_only(tmp_path, capsys):
     assert a["aggregate"]["fits"]["degree_in_m"] <= 3.0
 
 
+# sha256 prefix of each suite's report, minus the two volatile fields
+EXPERIMENT_REPORTS = [
+    (["lrfn-nontaut", "--count", "2", "--n", "2", "--k", "2", "--m", "4,8"], "f7645e8f096c8462"),
+    (["am-roundtrip", "--count", "2", "--n", "2"], "91bb21714b5b631f"),
+    (["lowerbound-trend", "--n", "1,2", "--max-lines", "5,5"], "002b0aad7c0737da"),
+    (["rfn-cf-sizes", "--max", "3"], "600058091dab6021"),
+]
+
+
+@pytest.mark.parametrize("argv, pin", EXPERIMENT_REPORTS)
+def test_experiment_reports_are_pinned(capsys, argv, pin):
+    assert main(["experiment"] + argv) == 0
+    stable = json.dumps(_stable(json.loads(capsys.readouterr().out)), sort_keys=True)
+    assert hashlib.sha256(stable.encode()).hexdigest()[:16] == pin
+
+
 def test_experiment_workers_match_serial(tmp_path):
     args = [
         "experiment", "am-roundtrip", "--count", "2", "--n", "1", "--seed", "5",
@@ -460,6 +503,12 @@ def test_experiment_rfn_cf_sizes_small_grid(tmp_path):
     assert sizes[(1, 1, 1)] == 561 and sizes[(2, 2, 2)] == 5681
     assert all(x["valid"] for x in rep["records"])
     assert rep["aggregate"]["max_ratio_to_bound_shape"] <= 360
+
+
+def test_experiment_defaults_run(capsys):
+    # lowerbound-trend's defaults are criterion 5's ladder
+    assert main(["experiment", "lowerbound-trend"]) == 0
+    assert json.loads(capsys.readouterr().out)["aggregate"]["values"] == [11, 11, 11]
 
 
 def test_experiment_json_to_stdout(capsys):
