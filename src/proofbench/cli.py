@@ -27,6 +27,7 @@ import random
 import re
 import sys
 import time
+from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from itertools import chain
 
@@ -111,22 +112,11 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _load_cnf(path: str | None, flag: str) -> Cnf:
-    if path is None:
-        raise UsageError(f"this family needs {flag}")
-    return parse_dimacs(_read_text(path))
-
-
-def _need(args: argparse.Namespace, *names: str) -> list[int]:
-    vals = []
-    for name in names:
-        v = getattr(args, name)
-        if v is None:
-            raise UsageError(
-                f"encode {args.family} needs --{' --'.join(names)}"
-            )
-        vals.append(v)
-    return vals
+def _read_cnf(path: str) -> Cnf:
+    try:
+        return parse_dimacs(_read_text(path))
+    except ValueError as e:  # keep the reader's line number in the message
+        raise UsageError(str(e)) from None
 
 
 def fit_degree(xs: list[float], ys: list[float]) -> float:
@@ -145,102 +135,83 @@ def fit_degree(xs: list[float], ys: list[float]) -> float:
 # encode
 
 
-FAMILIES = (
-    "prf",
-    "sat",
-    "rfn",
-    "lrfn",
-    "con",
-    "am",
-    "php",
-    "clique-color",
-    "strongly-friendly",
-)
+def _budget(p: tuple | None, q: tuple | None) -> PolyBudget:
+    """``--p`` and ``--q``, each defaulting to :class:`PolyBudget`'s."""
+    return PolyBudget(p or PolyBudget.p, q or PolyBudget.q)
+
+
+def _enc_prf(m: int, n: int | None, k: int | None, f: Cnf | None) -> tuple:
+    if f is not None:  # n and k default to the CNF's
+        n, k = f.n if n is None else n, len(f.clauses) if k is None else k
+    if n is None or k is None:
+        raise UsageError("encode prf needs --n and --k, or --cnf")
+    art = build_prf(m, n, k, None if f is None else encode_cnf(f, strict=False))
+    note = f"prf m={m} n={n} k={k}: {art.formula.n} vars, {len(art.formula.clauses)} clauses"
+    return emit_dimacs(art.formula), art.layout.names(), note
+
+
+def _enc_sat(n: int, k: int) -> tuple:
+    text = emit_gates(build_sat(n, k))
+    return text, chain(code_names(n, k), block_names("z", n)), f"sat n={n} k={k}"
+
+
+def _enc_rfn(m: int, n: int, k: int) -> tuple:
+    text = emit_gates(build_rfn(m, n, k))
+    names = chain(PrfLayout(m, n, k, symbolic=True).names(), block_names("z", n))
+    return text, names, f"rfn m={m} n={n} k={k}"
+
+
+def _enc_lrfn(m: int, f: Cnf) -> tuple:
+    text = emit_gates(build_lrfn(f, m))
+    names = chain(PrfLayout(m, f.n, f.k).names(), block_names("z", f.n))
+    return text, names, f"lrfn m={m} over {f.n} vars, {len(f.clauses)} clauses"
+
+
+def _enc_con(m: int, n: int) -> tuple:
+    return emit_gates(build_con(m, n)), PrfLayout(m, n, 0).names(), f"con m={m} n={n}"
+
+
+def _enc_am(f: Cnf, p: tuple | None, q: tuple | None) -> tuple:
+    art = am_reduce(f, _budget(p, q))
+    note = (
+        f"am m={art.layout.m} (source {art.params['source_bytes']} bytes): "
+        f"{art.formula.n} vars, {len(art.formula.clauses)} clauses"
+    )
+    return emit_dimacs(art.formula), art.layout.names(), note
+
+
+def _enc_php(p: int, h: int) -> tuple:
+    names = (f"p[{i},{j}]" for i in range(1, p + 1) for j in range(1, h + 1))
+    return emit_dimacs(build_php(p, h)), names, f"php {p} pigeons, {h} holes"
+
+
+def _enc_clique_color(k: int, v: int, out2: str) -> tuple:
+    side_a, side_b, edges = build_clique_color(k, v)
+    _write_text(out2, emit_dimacs(side_b))
+    names = (f"e[{u},{w}]" for u, w in edges)  # edges are numbered in insertion order
+    note = f"clique-color k={k} on {v} vertices (shared edge vars in the map)"
+    return emit_dimacs(side_a), names, note
+
+
+def _enc_strongly_friendly(n: int, k: int | None, p: tuple | None, q: tuple | None) -> tuple:
+    budget = _budget(p, q)
+    k_in, lay = strongly_friendly_layout(n, budget, k)  # refuses sizes it cannot build
+    text = emit_gates(build_strongly_friendly(n, budget, k))
+    names = chain(lay.names(), code_names(n, k_in), block_names("u", lay.n))
+    return text, names, f"strongly-friendly n={n}"
 
 
 def cmd_encode(args: argparse.Namespace) -> int:
-    fam = args.family
-    budget = PolyBudget(
-        p=parse_poly(args.p) if args.p else PolyBudget().p,
-        q=parse_poly(args.q) if args.q else PolyBudget().q,
-    )
-    note = ""
-
-    if fam == "prf":
-        code = None
-        if args.cnf is not None:
-            f = _load_cnf(args.cnf, "--cnf")
-            code = encode_cnf(f, strict=False)
-            if args.n is None:
-                args.n = f.n
-            if args.k is None:
-                args.k = len(f.clauses)
-        m, n, k = _need(args, "m", "n", "k")
-        art = build_prf(m, n, k, code)
-        text = emit_dimacs(art.formula)
-        names = art.layout.names()
-        note = f"prf m={m} n={n} k={k}: {art.formula.n} vars, {len(art.formula.clauses)} clauses"
-    elif fam == "sat":
-        n, k = _need(args, "n", "k")
-        text = emit_gates(build_sat(n, k))
-        names = chain(code_names(n, k), block_names("z", n))
-        note = f"sat n={n} k={k}"
-    elif fam == "rfn":
-        m, n, k = _need(args, "m", "n", "k")
-        text = emit_gates(build_rfn(m, n, k))
-        names = chain(PrfLayout(m, n, k, symbolic=True).names(), block_names("z", n))
-        note = f"rfn m={m} n={n} k={k}"
-    elif fam == "lrfn":
-        (m,) = _need(args, "m")
-        f = _load_cnf(args.cnf, "--cnf")
-        text = emit_gates(build_lrfn(f, m))
-        names = chain(PrfLayout(m, f.n, f.k).names(), block_names("z", f.n))
-        note = f"lrfn m={m} over {f.n} vars, {len(f.clauses)} clauses"
-    elif fam == "con":
-        m, n = _need(args, "m", "n")
-        text = emit_gates(build_con(m, n))
-        names = PrfLayout(m, n, 0).names()
-        note = f"con m={m} n={n}"
-    elif fam == "am":
-        f = _load_cnf(args.cnf, "--cnf")
-        art = am_reduce(f, budget)
-        text = emit_dimacs(art.formula)
-        names = art.layout.names()
-        note = (
-            f"am m={art.layout.m} (source {art.params['source_bytes']} bytes): "
-            f"{art.formula.n} vars, {len(art.formula.clauses)} clauses"
-        )
-    elif fam == "php":
-        p, h = _need(args, "pigeons", "holes")
-        f = build_php(p, h)
-        text = emit_dimacs(f)
-        names = (f"p[{i},{j}]" for i in range(1, p + 1) for j in range(1, h + 1))
-        note = f"php {p} pigeons, {h} holes"
-    elif fam == "clique-color":
-        k, v = _need(args, "k", "vertices")
-        side_a, side_b, edges = build_clique_color(k, v)
-        if args.out2 is None:
-            raise UsageError("encode clique-color needs --out (clique side) and --out2 (color side)")
-        text = emit_dimacs(side_a)
-        _write_text(args.out2, emit_dimacs(side_b))
-        names = (f"e[{u},{w}]" for u, w in edges)  # edges are numbered in insertion order
-        note = f"clique-color k={k} on {v} vertices (shared edge vars in the map)"
-    elif fam == "strongly-friendly":
-        (n,) = _need(args, "n")
-        k, lay = strongly_friendly_layout(n, budget, args.k)  # refuses sizes it cannot build
-        text = emit_gates(build_strongly_friendly(n, budget, args.k))
-        names = chain(lay.names(), code_names(n, k), block_names("u", lay.n))
-        note = f"strongly-friendly n={n}"
-    else:  # pragma: no cover - argparse rejects unknown families
-        raise UsageError(f"unknown family {fam!r}")
-
-    if args.out is None:
-        raise UsageError("encode needs --out")
-    _write_text(args.out, text)
-    if args.map is not None:
-        _write_text(args.map, map_text(names))
-    if args.out != "-":
-        print(f"wrote {args.out}: {note}")
+    """Write one family member.  Each ``_enc_*`` returns ``(text, names,
+    note)``: the --out text, the input names for --map, and the line printed
+    after writing."""
+    build, (*values, out, map_path) = _read_options(args, FAMILIES)
+    text, names, note = build(*values)
+    _write_text(out, text)
+    if map_path is not None:
+        _write_text(map_path, map_text(names))
+    if out != "-":
+        print(f"wrote {out}: {note}")
     return 0
 
 
@@ -479,21 +450,58 @@ def _exp_rfn_cf_sizes(top: int, workers: int) -> _Result:
     return params, records, aggregate, ok
 
 
-# Each suite with the options it reads, in the order it takes them: (name,
-# reader, default, refuse values below 1).  Every suite also takes --report.
-_COUNT, _N, _SEED = ("count", int, "100", True), ("n", int, "6", True), ("seed", int, "0", False)
-_WORKERS = ("workers", int, "1", True)
+# Each family and each suite with the options it reads, in the order its
+# function takes them, then the options that say where the output goes.  A
+# default of None leaves the option unset; _REQUIRED refuses a run without it.
+_REQUIRED = object()
+_Opt = namedtuple("_Opt", "name read default positive", defaults=(int, _REQUIRED, False))
+_P, _Q = _Opt("p", parse_poly, None), _Opt("q", parse_poly, None)
+_OUT = (_Opt("out", str), _Opt("map", str, None))
+FAMILIES = {
+    "prf": (_enc_prf, (_Opt("m"), _Opt("n", int, None), _Opt("k", int, None),
+                       _Opt("cnf", _read_cnf, None), *_OUT)),
+    "sat": (_enc_sat, (_Opt("n"), _Opt("k"), *_OUT)),
+    "rfn": (_enc_rfn, (_Opt("m"), _Opt("n"), _Opt("k"), *_OUT)),
+    "lrfn": (_enc_lrfn, (_Opt("m"), _Opt("cnf", _read_cnf), *_OUT)),
+    "con": (_enc_con, (_Opt("m"), _Opt("n"), *_OUT)),
+    "am": (_enc_am, (_Opt("cnf", _read_cnf), _P, _Q, *_OUT)),
+    "php": (_enc_php, (_Opt("pigeons"), _Opt("holes"), *_OUT)),
+    "clique-color": (_enc_clique_color, (_Opt("k"), _Opt("vertices"), _Opt("out2", str), *_OUT)),
+    "strongly-friendly": (_enc_strongly_friendly, (_Opt("n"), _Opt("k", int, None), _P, _Q, *_OUT)),
+}
+_COUNT, _N = _Opt("count", int, "100", True), _Opt("n", int, "6", True)
+_SEED, _RUN = _Opt("seed", int, "0"), (_Opt("workers", int, "1", True), _Opt("report", str, None))
 EXPERIMENTS = {
     "lrfn-nontaut": (_exp_lrfn_nontaut, (
-        _COUNT, _N, ("k", int, "8", True), ("m", _parse_ladder, "32", True), _SEED, _WORKERS)),
+        _COUNT, _N, _Opt("k", int, "8", True), _Opt("m", _parse_ladder, "32", True), _SEED, *_RUN)),
     "am-roundtrip": (_exp_am_roundtrip, (
-        _COUNT, _N, ("p", parse_poly, "s", False), ("q", parse_poly, "s^3", False), _SEED,
-        _WORKERS)),
+        _COUNT, _N, _Opt("p", parse_poly, "s"), _Opt("q", parse_poly, "s^3"), _SEED, *_RUN)),
     "lowerbound-trend": (_exp_lowerbound_trend, (
-        ("n", _parse_ladder, "1..3", True), ("max-lines", _parse_ladder, "11,10,10", True),
-        _WORKERS)),
-    "rfn-cf-sizes": (_exp_rfn_cf_sizes, (("max", int, "3", True), _WORKERS)),
+        _Opt("n", _parse_ladder, "1..3", True), _Opt("max-lines", _parse_ladder, "11,10,10", True),
+        *_RUN)),
+    "rfn-cf-sizes": (_exp_rfn_cf_sizes, (_Opt("max", int, "3", True), *_RUN)),
 }
+
+
+def _read_options(args: argparse.Namespace, table: dict) -> tuple:
+    """The function of the family or suite ``args.name`` and its option
+    values: every option is read and range-checked here, before any work."""
+    fn, options = table[args.name]
+    values = []
+    for flag, read, _, positive in options:
+        text = getattr(args, flag.replace("-", "_"))
+        if text is _REQUIRED:
+            raise UsageError(f"{args.command} {args.name} needs --{flag}")
+        try:
+            value = None if text is None else read(text)
+        except ValueError:
+            raise UsageError(f"--{flag}: bad value {text!r}") from None
+        except UsageError as e:
+            raise UsageError(f"--{flag}: {e}") from None
+        if positive and min(value if isinstance(value, list) else [value]) < 1:
+            raise UsageError(f"--{flag} must be at least 1")
+        values.append(value)
+    return fn, values
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
@@ -502,19 +510,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     ``dpll_valid`` for auxiliary upper-bound proofs); ``generated_at`` and
     ``wall_clock_s`` are the only fields that differ between identical
     invocations."""
-    suite, options = EXPERIMENTS[args.name]
-    values = []  # every option is read and range-checked here, before any work
-    for flag, read, _, positive in options:
-        text = getattr(args, flag.replace("-", "_"))
-        try:
-            value = read(text)
-        except ValueError:
-            raise UsageError(f"--{flag}: bad value {text!r}") from None
-        except UsageError as e:
-            raise UsageError(f"--{flag}: {e}") from None
-        if positive and min(value if isinstance(value, list) else [value]) < 1:
-            raise UsageError(f"--{flag} must be at least 1")
-        values.append(value)
+    suite, (*values, report_path) = _read_options(args, EXPERIMENTS)
     t0 = time.monotonic()
     params, records, aggregate, ok = suite(*values)
     report = {
@@ -528,9 +524,9 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         "wall_clock_s": round(time.monotonic() - t0, 3),
     }
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if args.report:
-        _write_text(args.report, text)
-        print(f"{args.name}: {'ok' if ok else 'FAILED'}, report in {args.report}")
+    if report_path:
+        _write_text(report_path, text)
+        print(f"{args.name}: {'ok' if ok else 'FAILED'}, report in {report_path}")
     else:
         sys.stdout.write(text)
     return 0 if ok else 1
@@ -547,41 +543,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    enc = sub.add_parser("encode", help="write a formula-family member to disk")
-    enc.add_argument("family", choices=FAMILIES)
-    enc.add_argument("--m", type=int, help="proof lines")
-    enc.add_argument("--n", type=int, help="variables of the coded CNF")
-    enc.add_argument("--k", type=int, help="clauses of the coded CNF")
-    enc.add_argument("--cnf", help="DIMACS file to instantiate with")
-    enc.add_argument("--p", help="line-budget polynomial in s, e.g. 4s")
-    enc.add_argument("--q", help="length-budget polynomial in s, e.g. s^3")
-    enc.add_argument("--pigeons", type=int)
-    enc.add_argument("--holes", type=int)
-    enc.add_argument("--vertices", type=int)
-    enc.add_argument("--out", help="output path ('-' for stdout)")
-    enc.add_argument("--out2", help="second output (clique-color's color side)")
-    enc.add_argument("--map", help="variable-map sidecar path")
-    enc.set_defaults(func=cmd_encode)
+    def add_leaves(command: str, help: str, table: dict, func) -> None:
+        leaves = sub.add_parser(command, help=help).add_subparsers(dest="name", required=True)
+        for name, (_, options) in table.items():
+            leaf = leaves.add_parser(name, allow_abbrev=False)  # --max is not --max-lines
+            for flag, _, default, _ in options:
+                hint = "required" if default is _REQUIRED else default and f"default {default}"
+                leaf.add_argument(f"--{flag}", default=default, help=hint)
+            leaf.set_defaults(func=func, parser=leaf)
 
+    add_leaves("encode", "write a formula-family member to disk", FAMILIES, cmd_encode)
     chk = sub.add_parser("check", help="verify a resolution refutation")
     chk.add_argument("--cnf", required=True)
     chk.add_argument("--proof", required=True)
     chk.add_argument("--mode", choices=("strict", "weakening"), default="strict")
-    chk.set_defaults(func=cmd_check)
-
-    exp = sub.add_parser("experiment", help="run a batch suite, emit a JSON report")
-    suites = exp.add_subparsers(dest="name", required=True)
-    for name, (_, options) in EXPERIMENTS.items():
-        suite = suites.add_parser(name, allow_abbrev=False)  # --max is not --max-lines
-        for flag, _, default, _ in options:
-            suite.add_argument(f"--{flag}", default=default, help=f"default {default}")
-        suite.add_argument("--report", help="write the JSON report here instead of stdout")
-    exp.set_defaults(func=cmd_experiment)
+    chk.set_defaults(func=cmd_check, parser=chk)
+    add_leaves("experiment", "run a batch suite, emit a JSON report", EXPERIMENTS, cmd_experiment)
     return top
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args, unread = build_parser().parse_known_args(argv)
+    if unread:  # name the family or suite, not the top-level parser
+        args.parser.error(f"unrecognized arguments: {' '.join(unread)}")
     try:
         return args.func(args)
     except UsageError as e:

@@ -252,6 +252,57 @@ def test_suite_refuses_options_it_does_not_read(argv):
     assert e.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["php", "--pigeons", "2", "--holes", "1", "--m", "3"],
+        ["sat", "--n", "1", "--k", "1", "--cnf", "x"],
+        ["rfn", "--m", "1", "--n", "1", "--k", "1", "--p", "s"],
+        ["con", "--m", "1", "--n", "1", "--k", "1"],
+    ],
+)
+def test_family_refuses_options_it_does_not_read(argv):
+    with pytest.raises(SystemExit) as e:
+        main(["encode"] + argv + ["--out", "-"])
+    assert e.value.code == 2
+    # (family, option) and (suite, option) pairs that a parser accepts
+    assert sum(len(options) for _, options in cli.FAMILIES.values()) == 43
+    assert sum(len(options) for _, options in cli.EXPERIMENTS.values()) == 21
+
+
+@pytest.mark.parametrize(
+    "argv, usage",
+    [
+        (["experiment", "lrfn-nontaut", "--p", "s"], "usage: proofbench experiment lrfn-nontaut "),
+        (["encode", "php", "--pigeons", "2", "--holes", "1", "--m", "3"], "usage: proofbench encode php "),
+    ],
+)
+def test_unread_option_is_reported_against_its_own_parser(capsys, argv, usage):
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(usage)
+    assert err.endswith(f"error: unrecognized arguments: {' '.join(argv[-2:])}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["prf", "--m", "x", "--n", "1", "--k", "1", "--out", "-"], "--m: bad value 'x'"),
+        (["php", "--pigeons", "2", "--out", "-"], "encode php needs --holes"),
+        (["prf", "--m", "2", "--out", "-"], "encode prf needs --n and --k, or --cnf"),
+        (["clique-color", "--k", "1", "--vertices", "3", "--out", "-"], "encode clique-color needs --out2"),
+        (["lrfn", "--m", "2", "--cnf", "bad.cnf", "--out", "-"], "--cnf: line 2: bad literal 'x'"),
+    ],
+)
+def test_encode_option_errors_name_the_option(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.cnf").write_text("p cnf 1 1\nx 0\n")
+    assert main(["encode"] + argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_strongly_friendly_refuses_sizes_it_cannot_build(monkeypatch, capsys):
     def reached(*args, **kwargs):
         raise AssertionError("built or counted part of the circuit before the size check")
@@ -336,19 +387,29 @@ def test_every_private_helper_has_a_program_caller():
     assert dead == []
 
 
-def test_gate_rule_is_written_once():
-    # The trusted base applies one gate rule: only one function may spell
-    # out its refusals, so no second copy can drift from it.
+def _functions_spelling(text: str) -> set[str]:
+    """The package functions with a string constant that contains ``text``."""
     pkg = Path(cli.__file__).parent
-    holders = {
+    return {
         f"{path.stem}.{fn.name}"
         for path in sorted(pkg.glob("*.py"))
         for fn in ast.walk(ast.parse(path.read_text()))
         if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
         for node in ast.walk(fn)
-        if isinstance(node, ast.Constant) and isinstance(node.value, str) and "unknown kind" in node.value
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and text in node.value
     }
-    assert holders == {"core.check_cone"}
+
+
+def test_gate_rule_is_written_once():
+    # The trusted base applies one gate rule: only one function may spell
+    # out its refusals, so no second copy can drift from it.
+    assert _functions_spelling("unknown kind") == {"core.check_cone"}
+
+
+def test_option_reader_is_written_once():
+    # Every encode and experiment option goes through one reader: only one
+    # function may refuse a malformed value, so no second parser can drift.
+    assert _functions_spelling("bad value") == {"cli._read_options"}
 
 
 def test_package_has_no_assert():
