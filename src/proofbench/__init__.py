@@ -4,13 +4,13 @@ propositional proof systems (Resolution and Circuit Frege).
 The package is organized as a small stack:
 
 * ``core``        -- CNFs, clause codes, circuits, and the file formats.
-* ``resolution``  -- Resolution proof objects, checker, restriction, splitting.
+* ``resolution``  -- Resolution proofs: checker, restriction, text format.
 * ``oracle``      -- exhaustive ground truth: tautology checks, DPLL, minimal
                      refutation search.
 * ``encoder``     -- the formula families: prf / sat / rfn / lrfn / con,
                      reductions, PHP, clique-coloring, templates.
-* ``proofgen``    -- constructive refutations of prf formulas and witness
-                     encoding.
+* ``proofgen``    -- constructive refutations of prf formulas, witness
+                     encoding, and the variable-disjoint split.
 * ``cfrege``      -- a Circuit Frege proof kernel and proof generators.
 * ``cli``         -- batch front door (``proofbench`` console script).
 """

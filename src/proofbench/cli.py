@@ -272,8 +272,7 @@ def _lrfn_task(task: tuple) -> dict:
 
 
 def _am_task(task: tuple) -> dict:
-    f, status, model, p, q = task
-    budget = PolyBudget(p=p, q=q)
+    f, status, model, budget = task
     art = am_reduce(f, budget)
     m = art.layout.m
     rec: dict = {"status": status, "m": m, "source_n": f.n, "source_k": f.k}
@@ -360,6 +359,7 @@ def _exp_lrfn_nontaut(count: int, n: int, k: int, ms: list, seed: int, workers: 
 
 def _exp_am_roundtrip(count: int, n: int, p: tuple, q: tuple, seed: int, workers: int) -> _Result:
     params = {"count": count, "n": n, "p": list(p), "q": list(q), "seed": seed}
+    budget = PolyBudget(p, q)  # refuses a degree-0 polynomial before any sampling
     rng = random.Random(seed)
     tasks = []
     for idx in range(count):
@@ -367,7 +367,7 @@ def _exp_am_roundtrip(count: int, n: int, p: tuple, q: tuple, seed: int, workers
         got = _sample_with_status(rng, want, n, 2 * n)
         f = got[0]
         model = got[1] if want == "sat" else None
-        tasks.append((f, want, model, p, q))
+        tasks.append((f, want, model, budget))
     records = _run_tasks(_am_task, tasks, workers)
     correct = sum(1 for r in records if r["direction_ok"])
     skipped = sum(1 for r in records if r["direction_ok"] is None)

@@ -262,8 +262,8 @@ class EncodingArtifact:
     """A built formula together with its layout and bookkeeping.
 
     ``clause_index`` maps constraint names to clause positions; ``params``
-    records construction inputs for reports.  Both are bookkeeping, not
-    identity.
+    holds what a report reads (``am_reduce``'s ``source_bytes``).  Both are
+    bookkeeping, not identity.
     """
 
     formula: Cnf
@@ -300,8 +300,7 @@ def build_prf(m: int, n: int, k: int, code: CnfCode | None = None) -> EncodingAr
         index[name] = len(clauses)
         clauses.append(frozenset(lits))
     formula = Cnf(lay.total_vars, tuple(clauses))
-    params = {"m": m, "n": n, "k": k, "symbolic": code is None}
-    return EncodingArtifact(formula, lay, code, params, index)
+    return EncodingArtifact(formula, lay, code, clause_index=index)
 
 
 def _one_hot(bits: Sequence[int], vars_: Sequence[int]) -> int | None:
@@ -474,8 +473,7 @@ def am_reduce(f: Cnf, budget: PolyBudget = DEFAULT_BUDGET) -> EncodingArtifact:
     if m < 1:
         raise ValueError("budget gives no proof lines")
     art = build_prf(m, f.n, f.k, encode_cnf(f, strict=False))
-    art.params.update({"source_bytes": s, "source_n": f.n, "source_k": f.k,
-                       "p": budget.p, "q": budget.q})
+    art.params["source_bytes"] = s
     return art
 
 

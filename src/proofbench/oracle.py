@@ -432,7 +432,6 @@ def min_refutation_length(
 
     deadline = budget.deadline()
     nodes = 0
-    exhausted = False
 
     def search(lines, justs, pool, used, remaining, every, idle):
         """Extend the prefix ``lines`` by ``remaining`` more lines.
@@ -441,13 +440,12 @@ def min_refutation_length(
         first justification; ``used`` has bit ``t`` set once line ``t`` is
         some line's premise; ``every`` and ``idle`` are the unions of all
         lines and of the unused ones.  Returns (lines, justs) of a
-        refutation, or None.
+        refutation, or None; raises ``TimeoutError`` when the budget is spent.
         """
-        nonlocal nodes, exhausted
+        nonlocal nodes
         nodes += 1
         if nodes > budget.max_nodes or time.monotonic() > deadline:
-            exhausted = True
-            return None
+            raise TimeoutError("minimal refutation search budget exhausted")
         t = len(lines)
         prev = lines[-1] if lines else -1
         child_remaining = remaining - 1
@@ -508,8 +506,6 @@ def min_refutation_length(
                 )
                 if res is not None:
                     return res
-                if exhausted:
-                    return None
         return None
 
     def unpack(c: int) -> frozenset[int]:
@@ -523,8 +519,9 @@ def min_refutation_length(
         for c in axioms:
             if c.bit_count() < limit:
                 pool[c.bit_count()][c] = ("A", axiom_index[c])
-        res = search([], [], pool, 0, limit, 0, 0)
-        if exhausted:
+        try:
+            res = search([], [], pool, 0, limit, 0, 0)
+        except TimeoutError:
             return ("exhausted",)
         if res is None:
             break

@@ -1,4 +1,5 @@
-"""Constructive refutations of refutation-existence instances.
+"""Constructive refutations: of refutation-existence instances, and of one
+side of a variable-disjoint join (:func:`split_disjoint_refutation`).
 
 If ``a`` satisfies ``F`` then no resolution refutation of ``F`` exists, so
 the CNF ``build_prf(m, F.n, F.k, code(F))`` is unsatisfiable — and this
@@ -23,9 +24,10 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .core import Cnf, encode_cnf, nogc
+from .core import Cnf, encode_cnf, nogc, shift_cnf
 from .encoder import EncodingArtifact, build_prf
-from .resolution import ProofLine, ResolutionProof, check_refutation
+from .oracle import dpll_refute, dpll_sat
+from .resolution import ProofLine, ResolutionProof, check_refutation, restrict_proof
 
 
 def line_bound(m: int, n: int, k: int) -> int:
@@ -230,3 +232,66 @@ def encode_witness(
             set_(lay.R(j2 + 1, j))
     return tuple(bits)
 
+
+# ---------------------------------------------------------------------------
+# Feasible disjunction splitting
+
+
+def join_disjoint(a: Cnf, b: Cnf) -> tuple[Cnf, Cnf, Cnf]:
+    """Embed ``a`` and ``b`` into one variable space with ``b`` shifted up.
+
+    Returns the two re-embedded CNFs and their concatenation (clauses of
+    ``a`` first), which is unsatisfiable whenever either side is.
+    """
+    n = a.n + b.n
+    a2 = Cnf(n, a.clauses)
+    b2 = shift_cnf(b, a.n, n)
+    return a2, b2, Cnf(n, a2.clauses + b2.clauses)
+
+
+def split_disjoint_refutation(a: Cnf, b: Cnf, proof: ResolutionProof):
+    """Given a refutation of the union of two variable-disjoint CNFs,
+    produce a refutation of one side, identified as ``('A', pa)`` or
+    ``('B', pb)``.
+
+    ``a`` and ``b`` must share the proof's variable space (``a.n == b.n ==
+    proof.target.n``) while mentioning disjoint variable sets, and the
+    target's clauses must be ``a``'s followed by ``b``'s.
+
+    If ``a`` is satisfiable, restricting the proof by a satisfying
+    assignment of ``a``'s variables kills every ``a``-clause and leaves a
+    refutation of ``b`` (and symmetrically).  If both are unsatisfiable the
+    restriction argument is unavailable, so a refutation of ``a`` is built
+    directly from its clauses.
+    """
+    if not (a.n == b.n == proof.target.n):
+        raise ValueError("sides must share the proof's variable space")
+    if proof.target.clauses != a.clauses + b.clauses:
+        raise ValueError("proof target is not the concatenation of the sides")
+    mention_a = {abs(l) for cl in a.clauses for l in cl}
+    mention_b = {abs(l) for cl in b.clauses for l in cl}
+    if mention_a & mention_b:
+        raise ValueError("sides mention a common variable")
+
+    res_a = dpll_sat(a)
+    if res_a[0] == "sat":
+        # Restricting by a's satisfying assignment (projected to the
+        # variables a actually mentions) deletes exactly a's clauses, so
+        # the restricted target is b itself.  A clause-free a mentions no
+        # variable, and the empty restriction just checks the proof.
+        rho = {v: res_a[1][v - 1] for v in mention_a}
+        return ("B", restrict_proof(proof.target, proof, rho))
+
+    res_b = dpll_sat(b)
+    if res_b[0] == "sat":
+        # a's clauses come first in the target, so surviving axiom
+        # indices already match a's clause positions.
+        rho = {v: res_b[1][v - 1] for v in mention_b}
+        return ("A", restrict_proof(proof.target, proof, rho))
+
+    if res_a[0] == "exhausted" or res_b[0] == "exhausted":
+        raise RuntimeError("satisfiability probe exhausted its budget")
+
+    # Both sides unsatisfiable: refute a on its own.
+    pa = dpll_refute(a)
+    return ("A", pa)

@@ -1,4 +1,4 @@
-"""Resolution refutations: representation, checking, restriction, splitting.
+"""Resolution refutations: representation, checking, restriction, text format.
 
 A proof is a sequence of lines, each carrying the clause it claims and a
 justification:
@@ -8,9 +8,10 @@ justification:
 * ``('R', j1, j2, i)`` — resolution of earlier lines ``j1`` and ``j2`` on
   variable ``i`` (``x_i`` must occur in line ``j1``, ``¬x_i`` in ``j2``).
 
-Two checking modes: ``'strict'`` requires each claimed clause to equal the
-downloaded clause or resolvent exactly; ``'weakening'`` only requires it to
-be a superset.  A refutation must end in the empty clause.
+Each line's rule derives a clause (the downloaded clause or the resolvent),
+and the claimed clause is compared with it: ``'strict'`` mode requires them
+equal, ``'weakening'`` a superset whose extra literals lie over variables
+``1..n``.  A refutation must end in the empty clause.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
 
-from .core import Cnf, check_numbers, nogc, restrict_clause, restrict_cnf, shift_cnf, sorted_literals
+from .core import Cnf, check_numbers, nogc, restrict_clause, restrict_cnf, sorted_literals
 
 
 Justification = tuple
@@ -97,15 +98,8 @@ def check_refutation(f: Cnf, proof: ResolutionProof, mode: str = "strict") -> Ch
             l = just[1]
             if type(l) is not int or not 0 <= l < f.k:
                 return fail(t, f"axiom index {l!r} out of range")
-            expected = f.clauses[l]
-            if mode == "strict":
-                if clause != expected:
-                    return fail(t, "axiom clause mismatch")
-            else:
-                if not expected <= clause:
-                    return fail(t, "clause does not contain the axiom")
-                if not _literals_within(clause, expected, f.n):
-                    return fail(t, "weakening adds a literal out of range")
+            derived = f.clauses[l]
+            mismatch, missing = "axiom clause mismatch", "clause does not contain the axiom"
         elif just[0] == "R":
             if len(just) != 4:
                 return fail(t, "malformed resolution justification")
@@ -119,27 +113,22 @@ def check_refutation(f: Cnf, proof: ResolutionProof, mode: str = "strict") -> Ch
                 return fail(t, "pivot missing from first premise")
             if -i not in c2:
                 return fail(t, "negated pivot missing from second premise")
-            resolvent = (c1 - {i}) | (c2 - {-i})
-            if mode == "strict":
-                if clause != resolvent:
-                    return fail(t, "resolvent mismatch")
-            else:
-                if not resolvent <= clause:
-                    return fail(t, "clause does not contain the resolvent")
-                if not _literals_within(clause, resolvent, f.n):
-                    return fail(t, "weakening adds a literal out of range")
+            derived = (c1 - {i}) | (c2 - {-i})
+            mismatch, missing = "resolvent mismatch", "clause does not contain the resolvent"
         else:
             return fail(t, f"unknown rule {just[0]!r}")
+        if clause != derived:
+            if mode == "strict":
+                return fail(t, mismatch)
+            if not derived <= clause:
+                return fail(t, missing)
+            # only literals over variables 1..n have a text form
+            if not all(0 < abs(lit) <= f.n for lit in clause - derived):
+                return fail(t, "weakening adds a literal out of range")
 
     if proof.lines[-1][0] != frozenset():
         return fail(len(proof.lines) - 1, "final line is not the empty clause")
     return CheckReport(True, None, None, len(proof.lines), proof.bit_size())
-
-
-def _literals_within(clause: frozenset, base: frozenset[int], n: int) -> bool:
-    """Whether what ``clause`` adds to its subset ``base`` are literals over
-    variables ``1..n``, so that a weakened line has a text form."""
-    return len(clause) == len(base) or all(0 < abs(lit) <= n for lit in clause - base)
 
 
 # ---------------------------------------------------------------------------
@@ -203,72 +192,6 @@ def restrict_proof(f: Cnf, proof: ResolutionProof, rho: Mapping[int, int]) -> Re
     if not report.ok:
         raise RuntimeError(f"restricted proof invalid at step {report.step}: {report.reason}")
     return result
-
-
-# ---------------------------------------------------------------------------
-# Feasible disjunction splitting
-
-
-def join_disjoint(a: Cnf, b: Cnf) -> tuple[Cnf, Cnf, Cnf]:
-    """Embed ``a`` and ``b`` into one variable space with ``b`` shifted up.
-
-    Returns the two re-embedded CNFs and their concatenation (clauses of
-    ``a`` first), which is unsatisfiable whenever either side is.
-    """
-    n = a.n + b.n
-    a2 = Cnf(n, a.clauses)
-    b2 = shift_cnf(b, a.n, n)
-    return a2, b2, Cnf(n, a2.clauses + b2.clauses)
-
-
-def split_disjoint_refutation(a: Cnf, b: Cnf, proof: ResolutionProof):
-    """Given a refutation of the union of two variable-disjoint CNFs,
-    produce a refutation of one side, identified as ``('A', pa)`` or
-    ``('B', pb)``.
-
-    ``a`` and ``b`` must share the proof's variable space (``a.n == b.n ==
-    proof.target.n``) while mentioning disjoint variable sets, and the
-    target's clauses must be ``a``'s followed by ``b``'s.
-
-    If ``a`` is satisfiable, restricting the proof by a satisfying
-    assignment of ``a``'s variables kills every ``a``-clause and leaves a
-    refutation of ``b`` (and symmetrically).  If both are unsatisfiable the
-    restriction argument is unavailable, so a refutation of ``a`` is built
-    directly from its clauses.
-    """
-    from .oracle import dpll_refute, dpll_sat
-
-    if not (a.n == b.n == proof.target.n):
-        raise ValueError("sides must share the proof's variable space")
-    if proof.target.clauses != a.clauses + b.clauses:
-        raise ValueError("proof target is not the concatenation of the sides")
-    mention_a = {abs(l) for cl in a.clauses for l in cl}
-    mention_b = {abs(l) for cl in b.clauses for l in cl}
-    if mention_a & mention_b:
-        raise ValueError("sides mention a common variable")
-
-    res_a = dpll_sat(a)
-    if res_a[0] == "sat":
-        # Restricting by a's satisfying assignment (projected to the
-        # variables a actually mentions) deletes exactly a's clauses, so
-        # the restricted target is b itself.  A clause-free a mentions no
-        # variable, and the empty restriction just checks the proof.
-        rho = {v: res_a[1][v - 1] for v in mention_a}
-        return ("B", restrict_proof(proof.target, proof, rho))
-
-    res_b = dpll_sat(b)
-    if res_b[0] == "sat":
-        # a's clauses come first in the target, so surviving axiom
-        # indices already match a's clause positions.
-        rho = {v: res_b[1][v - 1] for v in mention_b}
-        return ("A", restrict_proof(proof.target, proof, rho))
-
-    if res_a[0] == "exhausted" or res_b[0] == "exhausted":
-        raise RuntimeError("satisfiability probe exhausted its budget")
-
-    # Both sides unsatisfiable: refute a on its own.
-    pa = dpll_refute(a)
-    return ("A", pa)
 
 
 # ---------------------------------------------------------------------------

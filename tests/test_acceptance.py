@@ -46,14 +46,14 @@ from proofbench.oracle import (
     is_tautology,
     min_refutation_length,
 )
-from proofbench.proofgen import encode_witness, line_bound, refute_prf_nontaut
-from proofbench.resolution import (
-    check_refutation,
-    emit_proof,
+from proofbench.proofgen import (
+    encode_witness,
     join_disjoint,
-    parse_proof,
+    line_bound,
+    refute_prf_nontaut,
     split_disjoint_refutation,
 )
+from proofbench.resolution import check_refutation, emit_proof, parse_proof
 
 
 def _random_cnf(rng, max_n, max_k, max_width=3):

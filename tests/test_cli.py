@@ -195,15 +195,29 @@ def test_bad_parameter_is_exit_two(tmp_path, capsys, argv):
     assert not out.exists()
 
 
-def test_lrfn_ladder_is_checked_before_any_work(monkeypatch, capsys):
+DEGREE_0 = "budget polynomial must have degree >= 1"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        pytest.param(
+            ["lrfn-nontaut", "--count", "50", "--m", "8,8", "--n", "2", "--k", "2"],
+            "--m ladder needs at least two distinct values",
+            id="lrfn-m-ladder",
+        ),
+        pytest.param(["am-roundtrip", "--p", "7", "--count", "4", "--n", "2"], DEGREE_0, id="am-p-degree-0"),
+        pytest.param(["am-roundtrip", "--q", "5", "--count", "4", "--n", "2"], DEGREE_0, id="am-q-degree-0"),
+    ],
+)
+def test_suite_values_are_checked_before_any_work(monkeypatch, capsys, argv, message):
     def reached(*args, **kwargs):
-        raise AssertionError("sampled or ran tasks before the ladder was checked")
+        raise AssertionError("sampled or ran tasks before the values were checked")
 
     monkeypatch.setattr(cli, "_sample_with_status", reached)
     monkeypatch.setattr(cli, "_run_tasks", reached)
-    argv = ["experiment", "lrfn-nontaut", "--count", "50", "--m", "8,8", "--n", "2", "--k", "2"]
-    assert main(argv) == 2
-    assert capsys.readouterr().err == "error: --m ladder needs at least two distinct values\n"
+    assert main(["experiment"] + argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,9 @@ The refutation checker, proof restriction, the variable-disjoint split,
 and the proof text format.
 """
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,15 +14,13 @@ import proofbench.resolution as resolution
 from proofbench.core import Cnf, cnf, emit_dimacs, eval_cnf, restrict_cnf
 from proofbench.encoder import build_php
 from proofbench.oracle import dpll_refute, dpll_sat
-from proofbench.proofgen import refute_prf_nontaut
+from proofbench.proofgen import join_disjoint, refute_prf_nontaut, split_disjoint_refutation
 from proofbench.resolution import (
     ResolutionProof,
     check_refutation,
     emit_proof,
-    join_disjoint,
     parse_proof,
     restrict_proof,
-    split_disjoint_refutation,
 )
 
 PAIR = cnf(1, [[1], [-1]])
@@ -186,6 +186,61 @@ def test_weakening_by_a_non_literal_is_a_failing_report(junk):
         lines = PAIR_PROOF.lines[:2] + ((base | {junk}, just), PAIR_PROOF.lines[2])
         rep = check_refutation(PAIR, ResolutionProof(PAIR, lines), mode="weakening")
         assert not rep.ok and rep.step == 2 and "out of range" in rep.reason
+
+
+# F has variables 1..2, so 3 is out of range; {1}, {-1} resolve on 1 to {}.
+F12 = cnf(2, [[1], [-1]])
+DOWNLOADS = ((frozenset({1}), ("A", 0)), (frozenset({-1}), ("A", 1)))
+
+
+@pytest.mark.parametrize(
+    "lines, mode, step, reason",
+    [
+        (((frozenset({1, 2}), ("A", 0)),), "strict", 0, "axiom clause mismatch"),
+        (((frozenset(), ("A", 0)),), "strict", 0, "axiom clause mismatch"),
+        (DOWNLOADS + ((frozenset({2}), ("R", 0, 1, 1)),), "strict", 2, "resolvent mismatch"),
+        (((frozenset(), ("A", 0)),), "weakening", 0, "clause does not contain the axiom"),
+        (((frozenset({2}), ("A", 0)),), "weakening", 0, "clause does not contain the axiom"),
+        (
+            ((frozenset({1, 2}), ("A", 0)), DOWNLOADS[1], (frozenset(), ("R", 0, 1, 1))),
+            "weakening",
+            2,
+            "clause does not contain the resolvent",
+        ),
+        (((frozenset({1, 3}), ("A", 0)),), "weakening", 0, "weakening adds a literal out of range"),
+        (((frozenset({1, -3}), ("A", 0)),), "weakening", 0, "weakening adds a literal out of range"),
+        (
+            DOWNLOADS + ((frozenset({2, 3}), ("R", 0, 1, 1)),),
+            "weakening",
+            2,
+            "weakening adds a literal out of range",
+        ),
+    ],
+)
+def test_check_refutation_reasons_are_pinned(lines, mode, step, reason):
+    rep = check_refutation(F12, ResolutionProof(F12, lines), mode=mode)
+    assert (rep.ok, rep.step, rep.reason, rep.bit_size) == (False, step, reason, 0)
+
+
+def test_trusted_base_imports_only_core():
+    # The checker's module reads nothing above core, and no module imports
+    # inside a function, so the package's imports form a plain DAG.
+    internal = set()
+    for node in ast.walk(ast.parse(Path(resolution.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("proofbench")):
+            internal.add(node.module)
+        elif isinstance(node, ast.Import):
+            internal |= {a.name for a in node.names if a.name.startswith("proofbench")}
+    assert internal == {"core"}
+    nested = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(resolution.__file__).parent.glob("*.py"))
+        for fn in ast.walk(ast.parse(path.read_text()))
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    assert nested == []
 
 
 # ---------------------------------------------------------------------------
