@@ -599,11 +599,16 @@ def check_numbers(text: str, comment: str | None = None) -> None:
 
 @nogc
 def parse_dimacs(text: str) -> Cnf:
-    """Parse standard DIMACS CNF (``c`` comments allowed, one header line)."""
+    """Parse standard DIMACS CNF (``c`` comments allowed, one header line).
+
+    The clauses hold one int object per literal value, shared through a
+    table that grows with the text, not with the declared variable count.
+    """
     check_numbers(text, "c")
     n = k = None
     clauses: list[frozenset[int]] = []
     cur: list[int] = []
+    shared: dict[int, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -634,7 +639,7 @@ def parse_dimacs(text: str) -> Cnf:
             else:
                 if abs(lit) > n:
                     raise ValueError(f"line {lineno}: literal {lit} out of range")
-                cur.append(lit)
+                cur.append(shared.setdefault(lit, lit))
     if n is None:
         raise ValueError("missing DIMACS header")
     if cur:

@@ -33,6 +33,7 @@ for ``m(3n + k + m)`` variables in total, plus ``2nk`` code inputs
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import (
@@ -209,52 +210,60 @@ def block_names(name: str, count: int) -> Iterator[str]:
 
 def _prf_clauses(lay: PrfLayout) -> Iterator[tuple[tuple, list[int], tuple | None]]:
     m, n, k = lay.m, lay.n, lay.k
+    J, I = range(1, m + 1), range(1, n + 1)
+    # Every index comes from its layout method, once per argument tuple:
+    # y[j][e] lists y(e, i, j) over i, arc["L", j] lists L(j', j) over j'.
+    ax = {j: lay.ax(j) for j in J}
+    s = {j: [lay.s(l, j) for l in range(1, k + 1)] for j in J}
+    piv = {j: [lay.piv(i, j) for i in I] for j in J}
+    y = {j: [[lay.y(e, i, j) for i in I] for e in (0, 1)] for j in J}
+    arc = {
+        (side, j): [var(jp, j) for jp in range(1, j)]
+        for side, var in (("L", lay.L), ("R", lay.R))
+        for j in J
+    }
     # Structural constraints: every line is a download or a resolution with
     # one-hot selector groups.
-    for j in range(1, m + 1):
+    for j in J:
         if j == 1:
-            yield ("ax_first",), [lay.ax(1)], None
+            yield ("ax_first",), [ax[1]], None
         else:
-            yield ("alo_arc_L", j), [lay.ax(j)] + [lay.L(jp, j) for jp in range(1, j)], None
-            yield ("alo_arc_R", j), [lay.ax(j)] + [lay.R(jp, j) for jp in range(1, j)], None
-            yield ("alo_piv", j), [lay.ax(j)] + [lay.piv(i, j) for i in range(1, n + 1)], None
-        yield ("alo_s", j), [-lay.ax(j)] + [lay.s(l, j) for l in range(1, k + 1)], None
-        for l1 in range(1, k + 1):
-            for l2 in range(l1 + 1, k + 1):
-                yield ("amo_s", j, l1, l2), [-lay.ax(j), -lay.s(l1, j), -lay.s(l2, j)], None
+            yield ("alo_arc_L", j), [ax[j]] + arc["L", j], None
+            yield ("alo_arc_R", j), [ax[j]] + arc["R", j], None
+            yield ("alo_piv", j), [ax[j]] + piv[j], None
+        yield ("alo_s", j), [-ax[j]] + s[j], None
+        for (l1, s1), (l2, s2) in combinations(enumerate(s[j], 1), 2):
+            yield ("amo_s", j, l1, l2), [-ax[j], -s1, -s2], None
         if j >= 2:
-            for i1 in range(1, n + 1):
-                for i2 in range(i1 + 1, n + 1):
-                    yield ("amo_piv", j, i1, i2), [lay.ax(j), -lay.piv(i1, j), -lay.piv(i2, j)], None
-            for side, var in (("L", lay.L), ("R", lay.R)):
-                for a in range(1, j):
-                    for b in range(a + 1, j):
-                        yield ("amo_arc_" + side, j, a, b), [lay.ax(j), -var(a, j), -var(b, j)], None
+            for (i1, p1), (i2, p2) in combinations(enumerate(piv[j], 1), 2):
+                yield ("amo_piv", j, i1, i2), [ax[j], -p1, -p2], None
+            for side in ("L", "R"):
+                for (a, v1), (b, v2) in combinations(enumerate(arc[side, j], 1), 2):
+                    yield ("amo_arc_" + side, j, a, b), [ax[j], -v1, -v2], None
     # Downloaded lines contain the selected clause.
-    for j in range(1, m + 1):
-        for l in range(1, k + 1):
-            ax, s = lay.ax(j), lay.s(l, j)
-            for i in range(1, n + 1):
+    for j in J:
+        for l, sl in enumerate(s[j], 1):
+            for i in I:
                 for e in (1, 0):
-                    yield ("c2", j, l, i, e), [-ax, -s], ((e, i, l), lay.y(e, i, j), s)
+                    yield ("c2", j, l, i, e), [-ax[j], -sl], ((e, i, l), y[j][e][i - 1], sl)
     # The pivot occurs positively in the L premise and negatively in the R.
     for j in range(2, m + 1):
-        for jp in range(1, j):
-            for i in range(1, n + 1):
-                yield ("c3", "L", j, jp, i), [lay.ax(j), -lay.L(jp, j), -lay.piv(i, j), lay.y(1, i, jp)], None
-                yield ("c3", "R", j, jp, i), [lay.ax(j), -lay.R(jp, j), -lay.piv(i, j), lay.y(0, i, jp)], None
+        for jp, vl, vr in zip(J, arc["L", j], arc["R", j]):
+            for i, p, y0, y1 in zip(I, piv[j], *y[jp]):
+                yield ("c3", "L", j, jp, i), [ax[j], -vl, -p, y1], None
+                yield ("c3", "R", j, jp, i), [ax[j], -vr, -p, y0], None
     # Premise literals flow into the resolvent, except the pivot pair.
     for j in range(2, m + 1):
-        for jp in range(1, j):
-            for i in range(1, n + 1):
-                yield ("c4", "L", 1, j, jp, i), [lay.ax(j), -lay.L(jp, j), -lay.y(1, i, jp), lay.piv(i, j), lay.y(1, i, j)], None
-                yield ("c4", "L", 0, j, jp, i), [lay.ax(j), -lay.L(jp, j), -lay.y(0, i, jp), lay.y(0, i, j)], None
-                yield ("c4", "R", 1, j, jp, i), [lay.ax(j), -lay.R(jp, j), -lay.y(1, i, jp), lay.y(1, i, j)], None
-                yield ("c4", "R", 0, j, jp, i), [lay.ax(j), -lay.R(jp, j), -lay.y(0, i, jp), lay.piv(i, j), lay.y(0, i, j)], None
+        for jp, vl, vr in zip(J, arc["L", j], arc["R", j]):
+            for i, p, y0p, y1p, y0, y1 in zip(I, piv[j], *y[jp], *y[j]):
+                yield ("c4", "L", 1, j, jp, i), [ax[j], -vl, -y1p, p, y1], None
+                yield ("c4", "L", 0, j, jp, i), [ax[j], -vl, -y0p, y0], None
+                yield ("c4", "R", 1, j, jp, i), [ax[j], -vr, -y1p, y1], None
+                yield ("c4", "R", 0, j, jp, i), [ax[j], -vr, -y0p, p, y0], None
     # The final line is the empty clause.
-    for i in range(1, n + 1):
+    for i in I:
         for e in (1, 0):
-            yield ("c5", i, e), [-lay.y(e, i, m)], None
+            yield ("c5", i, e), [-y[m][e][i - 1]], None
 
 
 @dataclass(frozen=True)
@@ -283,11 +292,14 @@ def build_prf(m: int, n: int, k: int, code: CnfCode | None = None) -> EncodingAr
     weakening refutations of the coded CNF (junk bits in unread selector
     blocks aside); :func:`decode_prf_assignment` realizes one direction,
     :func:`proofgen.encode_witness <proofbench.proofgen.encode_witness>`
-    the other.
+    the other.  The clauses hold one int object per literal value.
     """
     if code is not None and (code.n, code.k) != (n, k):
         raise ValueError("code dimensions do not match n, k")
     lay = PrfLayout(m, n, k, symbolic=code is None)
+    # table[lit] is lit, a negative literal counting from the end, so the
+    # clauses share one int object per literal value.
+    table = list(range(lay.total_vars + 1)) + list(range(-lay.total_vars, 0))
     clauses: list[frozenset[int]] = []
     index: dict[tuple, int] = {}
     for name, lits, slot in _prf_clauses(lay):
@@ -298,7 +310,7 @@ def build_prf(m: int, n: int, k: int, code: CnfCode | None = None) -> EncodingAr
             else:
                 lits.append(on if code.get(*bit) else off)
         index[name] = len(clauses)
-        clauses.append(frozenset(lits))
+        clauses.append(frozenset([table[lit] for lit in lits]))
     formula = Cnf(lay.total_vars, tuple(clauses))
     return EncodingArtifact(formula, lay, code, clause_index=index)
 

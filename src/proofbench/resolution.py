@@ -229,6 +229,15 @@ def _print_proof(proof: ResolutionProof) -> str:
 
 @nogc
 def parse_proof(text: str, target: Cnf) -> ResolutionProof:
+    """Read :func:`emit_proof`'s text form back into a proof of ``target``.
+
+    An ``A <l>`` line takes ``target``'s clause object itself; the clauses
+    spelled out in the text hold one int object per literal value, shared
+    through a table that grows with the text, not with ``target.n``.
+    Raises ``ValueError`` naming the first line that does not parse.
+    """
+    shared: dict[int, int] = {}
+
     def read_ints(toks: list[str], lineno: int) -> list[int]:
         try:
             return [int(tok) for tok in toks]
@@ -244,7 +253,7 @@ def parse_proof(text: str, target: Cnf) -> ResolutionProof:
                 raise ValueError(f"line {lineno}: bad literal {tok!r}") from None
             if lit == 0 or abs(lit) > target.n:
                 raise ValueError(f"line {lineno}: literal {lit} out of range")
-            lits.append(lit)
+            lits.append(shared.setdefault(lit, lit))
         return frozenset(lits)
 
     check_numbers(text, "c")

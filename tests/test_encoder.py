@@ -3,6 +3,7 @@ The formula families: prf / sat / rfn / lrfn / con, the satisfiability-to-
 proof-search reduction, benchmark CNFs, and template codes.
 """
 
+import hashlib
 import itertools
 import math
 import random
@@ -24,11 +25,13 @@ from proofbench.core import (
     eval_circuit,
     eval_cnf,
     instantiate_template,
+    parse_dimacs,
 )
 from proofbench.encoder import (
     PolyBudget,
     PrfLayout,
     _prf_circuit,
+    _prf_clauses,
     am_reduce,
     block_names,
     build_clique_color,
@@ -45,7 +48,7 @@ from proofbench.encoder import (
 )
 from proofbench.oracle import dpll_refute, dpll_sat, is_tautology
 from proofbench.proofgen import encode_witness, refute_prf_nontaut
-from proofbench.resolution import check_refutation
+from proofbench.resolution import check_refutation, emit_proof, parse_proof
 
 PAIR = cnf(1, [[1], [-1]])
 
@@ -205,6 +208,40 @@ def test_prf_pair_witness_satisfies():
 def test_prf_clause_count_2_1_1():
     art = build_prf(2, 1, 1, encode_cnf(cnf(1, [[1]])))
     assert len(art.formula.clauses) == 18
+
+
+# sha256 prefixes of repr(list(_prf_clauses(lay))): the names, literals and
+# slots of the clause stream, which the DIMACS pins see only in part.
+@pytest.mark.parametrize("m,n,k,symbolic,digest", [
+    (6, 2, 3, True, "bd556553026562fa"),
+    (5, 3, 4, False, "bfe4a9e95594a504"),
+    (4, 2, 0, False, "8fdece99b0078241"),
+    (3, 0, 2, True, "c0d95daea497b640"),
+    (1, 3, 2, False, "8aa21e794f01b47e"),
+    (12, 3, 4, False, "47859f535025e525"),
+])
+def test_prf_clause_stream_is_pinned(m, n, k, symbolic, digest):
+    stream = repr(list(_prf_clauses(PrfLayout(m, n, k, symbolic))))
+    assert hashlib.sha256(stream.encode()).hexdigest()[:16] == digest
+
+
+def _one_object_per_value(clauses) -> bool:
+    lits = [lit for cl in clauses for lit in cl]
+    return len({id(lit) for lit in lits}) <= len(set(lits))
+
+
+def test_literal_ints_are_shared():
+    # 300 variables, so most literals lie outside CPython's small-int cache
+    f, a = cnf(3, [[1, 2], [-1, 3], [2, -3], [1, 2, 3]]), (1, 1, 1)
+    g = build_prf(12, 3, 4, encode_cnf(f, strict=False)).formula
+    assert g.n == 300
+    assert _one_object_per_value(g.clauses)
+    assert _one_object_per_value(parse_dimacs(emit_dimacs(g)).clauses)
+    back = parse_proof(emit_proof(refute_prf_nontaut(f, a, 12)), g)
+    # an ``A <l>`` line holds g's own clause; the others are read from text
+    spelled = [cl for cl, just in back.lines if just[0] == "R" or cl is not g.clauses[just[1]]]
+    assert len(spelled) > len(back.lines) // 2
+    assert _one_object_per_value(spelled)
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,14 @@ and the proof text format.
 
 import ast
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import proofbench.resolution as resolution
-from proofbench.core import Cnf, cnf, emit_dimacs, eval_cnf, restrict_cnf
+from proofbench.core import Cnf, cnf, emit_dimacs, eval_cnf, parse_dimacs, restrict_cnf
 from proofbench.encoder import build_php
 from proofbench.oracle import dpll_refute, dpll_sat
 from proofbench.proofgen import join_disjoint, refute_prf_nontaut, split_disjoint_refutation
@@ -399,6 +400,21 @@ def test_numbers_emit_proof_never_writes_are_refused(text, lineno):
     # zeros and "-0"
     with pytest.raises(ValueError, match=f"line {lineno}: bad number"):
         parse_proof(text, PAIR)
+
+
+def test_readers_grow_with_the_text_not_the_header():
+    # a table sized by the declared 4e9 variables would take gigabytes
+    text = "p cnf 4000000000 1\n1 -3999999999 0\n"
+    tracemalloc.start()
+    try:
+        f = parse_dimacs(text)
+        proof = parse_proof("A 0\nA 0 : -3999999999 1 4000000000\n", f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert f.clauses == (frozenset({1, -3999999999}),)
+    assert proof.lines[1][0] == frozenset({1, -3999999999, 4000000000})
+    assert peak < 1 << 20
 
 
 def test_weakened_axiom_line_grammar():
