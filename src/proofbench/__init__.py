@@ -11,7 +11,9 @@ The package is organized as a small stack:
                      reductions, PHP, clique-coloring, templates.
 * ``proofgen``    -- constructive refutations of prf formulas, witness
                      encoding, and the variable-disjoint split.
-* ``cfrege``      -- a Circuit Frege proof kernel and proof generators.
+* ``cfcheck``     -- the Circuit Frege calculus: canonical forms, schemas,
+                     and the checker.
+* ``cfrege``      -- Circuit Frege proof generators and the proof text form.
 * ``cli``         -- batch front door (``proofbench`` console script).
 """
 

@@ -31,7 +31,8 @@ from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from itertools import chain
 
-from .cfrege import cf_check, cf_prove_rfn_res
+from .cfcheck import cf_check
+from .cfrege import cf_prove_rfn_res
 from .core import (
     Cnf,
     cnf,
@@ -336,6 +337,9 @@ def _exp_lrfn_nontaut(count: int, n: int, k: int, ms: list, seed: int, workers: 
     if len(ms) >= 2 and len(set(ms)) < 2:
         # the degree fit needs two distinct points; say so before any work
         raise UsageError("--m ladder needs at least two distinct values")
+    if n > 3 * min(ms):
+        # the sampled CNFs have up to --n variables, and the generator needs n <= 3m
+        raise UsageError("--n must be at most 3 times the smallest --m")
     params = {"count": count, "n": n, "k": k, "m": ms, "seed": seed}
     rng = random.Random(seed)
     instances = [_sample_with_status(rng, "sat", n, k) for _ in range(count)]

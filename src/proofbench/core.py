@@ -68,6 +68,28 @@ def sorted_literals(cl: Iterable[int]) -> list[int]:
     return sorted(sorted(cl), key=abs)
 
 
+@dataclass(frozen=True)
+class CheckReport:
+    """Verdict of a proof check, from either checker:
+    :func:`~proofbench.resolution.check_refutation` or
+    :func:`~proofbench.cfcheck.cf_check`.
+
+    ``step`` and ``reason`` locate the first failure; ``lines`` and
+    ``bit_size`` describe the proof itself so callers can log sizes without
+    re-serializing.  ``check_refutation`` reads ``bit_size`` off the proof's
+    one memoized printing, so a later ``emit_proof`` of the same proof
+    prints nothing.  ``cf_check`` always reports ``bit_size`` 0.  A failing
+    report has ``bit_size`` 0: a proof that does not check may have no text
+    form at all.
+    """
+
+    ok: bool
+    step: int | None
+    reason: str | None
+    lines: int
+    bit_size: int
+
+
 # ---------------------------------------------------------------------------
 # CNFs
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
 
-from .core import Cnf, check_numbers, nogc, restrict_clause, restrict_cnf, sorted_literals
+from .core import CheckReport, Cnf, check_numbers, nogc, restrict_clause, restrict_cnf, sorted_literals
 
 
 Justification = tuple
@@ -44,25 +44,6 @@ class ResolutionProof:
     def bit_size(self) -> int:
         """Serialized length in bytes; the size measure used in reports."""
         return len(emit_proof(self).encode())
-
-
-@dataclass(frozen=True)
-class CheckReport:
-    """Verdict of a proof check.
-
-    ``step`` and ``reason`` locate the first failure; ``lines`` and
-    ``bit_size`` describe the proof itself so callers can log sizes without
-    re-serializing.  ``bit_size`` is read off the proof's one memoized
-    printing, so a later :func:`emit_proof` of the same proof prints
-    nothing.  A failing report has ``bit_size`` 0: a proof that does not
-    check may have no text form at all.
-    """
-
-    ok: bool
-    step: int | None
-    reason: str | None
-    lines: int
-    bit_size: int
 
 
 MODES = ("strict", "weakening")

@@ -12,7 +12,8 @@ import math
 import random
 import time
 
-from proofbench.cfrege import cf_check, cf_prove_rfn_res, cf_prove_sat_equiv, cf_substitute
+from proofbench.cfcheck import cf_check
+from proofbench.cfrege import cf_prove_rfn_res, cf_prove_sat_equiv, cf_substitute
 from proofbench.cli import main
 from proofbench.core import (
     Cnf,

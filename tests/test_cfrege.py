@@ -16,17 +16,14 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import proofbench.cfcheck as cfcheck
 import proofbench.cfrege as cfrege
+from proofbench.cfcheck import CanonTable, CfProof, SCHEMAS, cf_check, instantiate_schema
 from proofbench.cfrege import (
-    CanonTable,
-    CfProof,
-    SCHEMAS,
-    cf_check,
     cf_prove_rfn_res,
     cf_prove_sat_equiv,
     cf_serialize,
     cf_substitute,
-    instantiate_schema,
     lrfn_from_rfn,
 )
 from proofbench.core import (
@@ -607,7 +604,7 @@ def test_check_canonizes_under_a_third_of_the_arena(monkeypatch):
             tables.append(self)
 
     proof = cf_prove_rfn_res(3, 3, 3, check=False)
-    monkeypatch.setattr(cfrege, "CanonTable", Recorded)
+    monkeypatch.setattr(cfcheck, "CanonTable", Recorded)
     assert cf_check(proof).ok
     assert len(tables) == 1 and 3 * len(tables[0]._memo) < len(proof.arena.nodes)
 
@@ -879,7 +876,8 @@ def test_generator_and_checker_keep_their_guards_under_python_O():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = (
         "import hashlib\n"
-        "from proofbench.cfrege import cf_check, cf_prove_rfn_res, cf_serialize\n"
+        "from proofbench.cfcheck import cf_check\n"
+        "from proofbench.cfrege import cf_prove_rfn_res, cf_serialize\n"
         "proof = cf_prove_rfn_res(2, 2, 2)\n"
         "print(len(proof), cf_check(proof).ok, hashlib.sha256(cf_serialize(proof).encode()).hexdigest())\n"
     )

@@ -206,6 +206,11 @@ DEGREE_0 = "budget polynomial must have degree >= 1"
             "--m ladder needs at least two distinct values",
             id="lrfn-m-ladder",
         ),
+        pytest.param(
+            ["lrfn-nontaut", "--count", "1", "--m", "2,4", "--n", "7", "--k", "3"],
+            "--n must be at most 3 times the smallest --m",
+            id="lrfn-n-above-3m",
+        ),
         pytest.param(["am-roundtrip", "--p", "7", "--count", "4", "--n", "2"], DEGREE_0, id="am-p-degree-0"),
         pytest.param(["am-roundtrip", "--q", "5", "--count", "4", "--n", "2"], DEGREE_0, id="am-q-degree-0"),
     ],

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import proofbench.proofgen as proofgen
-from proofbench.cfrege import CfProof, cf_check, cf_prove_rfn_res
+from proofbench.cfcheck import CfProof, cf_check
+from proofbench.cfrege import cf_prove_rfn_res
 from proofbench.core import (
     GATE_KINDS,
     Circuit,

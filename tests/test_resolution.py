@@ -4,13 +4,18 @@ and the proof text format.
 """
 
 import ast
+import os
 import random
+import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import proofbench
 import proofbench.resolution as resolution
 from proofbench.core import Cnf, cnf, emit_dimacs, eval_cnf, parse_dimacs, restrict_cnf
 from proofbench.encoder import build_php
@@ -23,6 +28,8 @@ from proofbench.resolution import (
     parse_proof,
     restrict_proof,
 )
+
+PACKAGE = Path(resolution.__file__).parent
 
 PAIR = cnf(1, [[1], [-1]])
 PAIR_PROOF = ResolutionProof(
@@ -223,25 +230,47 @@ def test_check_refutation_reasons_are_pinned(lines, mode, step, reason):
     assert (rep.ok, rep.step, rep.reason, rep.bit_size) == (False, step, reason, 0)
 
 
-def test_trusted_base_imports_only_core():
-    # The checker's module reads nothing above core, and no module imports
-    # inside a function, so the package's imports form a plain DAG.
+@pytest.mark.parametrize("module", ["resolution.py", "cfcheck.py"])
+def test_trusted_base_imports_only_core(module):
+    # Each checker's module reads nothing above core.
     internal = set()
-    for node in ast.walk(ast.parse(Path(resolution.__file__).read_text())):
+    for node in ast.walk(ast.parse((PACKAGE / module).read_text())):
         if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("proofbench")):
             internal.add(node.module)
         elif isinstance(node, ast.Import):
             internal |= {a.name for a in node.names if a.name.startswith("proofbench")}
     assert internal == {"core"}
+
+
+def test_trusted_base_loads_only_core():
+    # What the AST test cannot see: a fresh interpreter that imports both
+    # checkers holds no other proofbench module.
+    code = (
+        "import sys, proofbench.cfcheck, proofbench.resolution\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('proofbench'))))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["proofbench", "proofbench.cfcheck", "proofbench.core", "proofbench.resolution"]
+
+
+def test_no_module_imports_inside_a_function():
+    # So the package's imports form a plain DAG.
     nested = [
         f"{path.name}:{node.lineno}"
-        for path in sorted(Path(resolution.__file__).parent.glob("*.py"))
+        for path in sorted(PACKAGE.glob("*.py"))
         for fn in ast.walk(ast.parse(path.read_text()))
         if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
         for node in ast.walk(fn)
         if isinstance(node, (ast.Import, ast.ImportFrom))
     ]
     assert nested == []
+
+
+def test_package_docstring_names_every_module():
+    listed = re.findall(r"^\* ``(\w+)``", proofbench.__doc__, re.MULTILINE)
+    modules = sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "__init__")
+    assert sorted(listed) == modules
 
 
 # ---------------------------------------------------------------------------
