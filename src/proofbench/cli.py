@@ -59,7 +59,7 @@ from .encoder import (
     map_text,
     strongly_friendly_layout,
 )
-from .oracle import dpll_refute, dpll_sat, min_refutation_length
+from .oracle import dpll_refute, dpll_sat, env_max_seconds, min_refutation_length
 from .proofgen import encode_witness, line_bound, refute_prf_nontaut
 from .resolution import check_refutation, parse_proof
 
@@ -101,7 +101,8 @@ def _parse_ladder(text: str) -> list[int]:
 
 
 def _read_text(path: str) -> str:
-    with open(path, encoding="ascii") as fh:
+    # newline="" hands the reader the file's own line ends, which it checks
+    with open(path, encoding="ascii", newline="") as fh:
         return fh.read()
 
 
@@ -514,6 +515,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     ``dpll_valid`` for auxiliary upper-bound proofs); ``generated_at`` and
     ``wall_clock_s`` are the only fields that differ between identical
     invocations."""
+    env_max_seconds()
     suite, (*values, report_path) = _read_options(args, EXPERIMENTS)
     t0 = time.monotonic()
     params, records, aggregate, ok = suite(*values)

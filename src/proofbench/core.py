@@ -14,13 +14,16 @@ Conventions used throughout the package:
 * Circuits are gate lists over ``var/const/not/and/or/imp`` with gates
   referencing earlier gates only; implication is first-class so that
   Hilbert-style schemas can be stated without rewriting.
+* Each text format has one spelling: its reader accepts exactly the texts
+  its emitter writes, so ``emit(read(t)) == t`` for every accepted ``t``,
+  through one line, number and clause rule (:func:`read_lines`,
+  :func:`read_number`, :func:`read_clause`).
 """
 
 from __future__ import annotations
 
 import functools
 import gc
-import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -586,97 +589,92 @@ class CircuitBuilder:
 
 
 # ---------------------------------------------------------------------------
-# DIMACS
+# Text formats: the rules all three share, then DIMACS
 
 
-# A number with a leading zero: a "0", then a digit, after no digit.
-_LEADING_ZERO = re.compile(r"0[0-9](?<![0-9]0[0-9])")
+def read_number(tok: str) -> int:
+    """The int that ``tok`` spells, when ``tok`` is how ``str`` writes it:
+    the one number rule of the three text formats.  It refuses what ``int``
+    would also read: spaces, ``_``, ``+``, ``-0``, leading zeros and the
+    digits of other scripts."""
+    try:
+        value = int(tok)
+    except ValueError:
+        pass
+    else:
+        if str(value) == tok:
+            return value
+    raise ValueError(f"bad number {tok!r}")
 
 
-def _odd_numbers(text: str) -> bool:
-    """Whether ``text`` spells a number in a way that ``int`` reads but no
-    emitter writes: with a non-ASCII character (``int`` reads the digits
-    of other scripts), ``_``, ``+``, ``-0`` or a leading zero."""
-    return (
-        not text.isascii()
-        or "_" in text
-        or "+" in text
-        or "-0" in text
-        or _LEADING_ZERO.search(text) is not None
-    )
+def read_lines(text: str) -> list[str]:
+    """The lines of ``text``, which must end in a newline.  The split is at
+    ``\\n`` alone, so a ``\\r`` or any other line break stays inside its
+    line for the reader to refuse."""
+    lines = text.split("\n")
+    if lines.pop() or not lines:
+        raise ValueError(f"line {len(lines) + 1}: missing final newline")
+    return lines
 
 
-def check_numbers(text: str, comment: str | None = None) -> None:
-    """Raise ``ValueError`` naming the first line of ``text`` that spells a
-    number the way no emitter does (see :func:`_odd_numbers`); lines that
-    start with ``comment`` may hold anything.  One scan covers the whole
-    text, and its lines are looked at only after a hit."""
-    if not _odd_numbers(text):
-        return
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not (comment and line.startswith(comment)) and _odd_numbers(raw):
-            raise ValueError(f"line {lineno}: bad number in {line!r}")
+def read_clause(toks: list[str], shared: dict[str, int], n: int) -> frozenset[int]:
+    """The clause that the literal tokens ``toks`` spell over variables
+    ``1..n``: in :func:`sorted_literals` order with none repeated, the one
+    spelling the emitters write.
+
+    ``shared`` maps each token of the text met so far to its literal, so a
+    clause holds one int object per literal value, and each distinct token
+    is read and range-checked once.  The table grows with the text, not
+    with ``n``.
+    """
+    try:
+        lits = [shared[tok] for tok in toks]
+    except KeyError:
+        for tok in toks:
+            if tok not in shared:
+                lit = read_number(tok)
+                if lit == 0 or abs(lit) > n:
+                    raise ValueError(f"literal {lit} out of range") from None
+                shared[tok] = lit
+        lits = [shared[tok] for tok in toks]
+    clause = frozenset(lits)
+    if len(clause) != len(lits) or sorted_literals(lits) != lits:
+        raise ValueError("literals repeated or out of order")
+    return clause
 
 
 @nogc
 def parse_dimacs(text: str) -> Cnf:
-    """Parse standard DIMACS CNF (``c`` comments allowed, one header line).
-
-    The clauses hold one int object per literal value, shared through a
-    table that grows with the text, not with the declared variable count.
-    """
-    check_numbers(text, "c")
-    n = k = None
-    clauses: list[frozenset[int]] = []
-    cur: list[int] = []
-    shared: dict[int, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        if line.startswith("p"):
-            if n is not None:
-                raise ValueError(f"line {lineno}: duplicate header")
-            parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
-                raise ValueError(f"line {lineno}: malformed header")
-            try:
-                n, k = int(parts[2]), int(parts[3])
-            except ValueError:
-                raise ValueError(f"line {lineno}: malformed header") from None
-            if n < 0 or k < 0:
-                raise ValueError(f"line {lineno}: malformed header")
-            continue
-        if n is None:
-            raise ValueError(f"line {lineno}: clause before header")
-        for tok in line.split():
-            try:
-                lit = int(tok)
-            except ValueError:
-                raise ValueError(f"line {lineno}: bad literal {tok!r}") from None
-            if lit == 0:
-                clauses.append(frozenset(cur))
-                cur = []
-            else:
-                if abs(lit) > n:
-                    raise ValueError(f"line {lineno}: literal {lit} out of range")
-                cur.append(shared.setdefault(lit, lit))
-    if n is None:
-        raise ValueError("missing DIMACS header")
-    if cur:
-        raise ValueError("missing terminating 0 in final clause")
-    if len(clauses) != k:
-        raise ValueError(f"header declares {k} clauses, found {len(clauses)}")
-    return Cnf(n, tuple(clauses))
+    """Read the text :func:`emit_dimacs` writes, and no other: the header
+    ``p cnf <vars> <clauses>`` on line 1, then one line per clause.  A
+    malformed text raises ``ValueError`` naming its line."""
+    lines = iter(read_lines(text))  # the iterator frees the list once it is read
+    lineno = 1
+    try:
+        head = next(lines).split(" ")
+        if len(head) != 4 or head[0] != "p" or head[1] != "cnf":
+            raise ValueError("malformed header")
+        n, k = read_number(head[2]), read_number(head[3])
+        shared: dict[str, int] = {}
+        clauses = []
+        for lineno, line in enumerate(lines, start=2):
+            toks = line.split(" ")
+            if toks.pop() != "0":
+                raise ValueError("clause does not end in 0")
+            clauses.append(read_clause(toks, shared, n))
+        lineno = 1
+        if len(clauses) != k:
+            raise ValueError(f"header declares {k} clauses, found {len(clauses)}")
+        return Cnf(n, tuple(clauses))  # refuses n < 0
+    except ValueError as e:
+        raise ValueError(f"line {lineno}: {e}") from None
 
 
 @nogc
 def emit_dimacs(f: Cnf) -> str:
     """Canonical emission: ascending variable order inside each clause
-    (negative literal first on a tie), original clause order, no comments.
-    ``emit(parse(emit(f))) == emit(f)`` byte-for-byte.
-    """
+    (negative literal first on a tie), original clause order, no comments;
+    the only texts :func:`parse_dimacs` reads."""
     lines = [f"p cnf {f.n} {f.k}"]
     for cl in f.clauses:
         lines.append(" ".join(map(str, sorted_literals(cl) + [0])))
@@ -708,57 +706,30 @@ def gate_text(g: Gate) -> str:
     return f"{g[0]} g{g[1]} g{g[2]}"
 
 
-def _gate_ref(tok: str) -> int:
-    """The id ``N`` of a gate reference ``gN``."""
-    if not tok.startswith("g"):
-        raise ValueError(f"expected gate reference, got {tok!r}")
-    try:
-        return int(tok[1:])
-    except ValueError:
-        raise ValueError(f"bad gate reference {tok!r}") from None
-
-
 def parse_gates(text: str) -> Circuit:
-    """Read the format :func:`emit_gates` writes; a malformed line raises
-    ``ValueError`` naming its line number."""
-    check_numbers(text)
-    n_vars = None
-    gates: list[Gate] = []
-    done = bytearray()
-    out: int | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        parts = raw.split()
-        if not parts:
-            continue
-        try:
-            if parts[0] == "inputs":
-                if n_vars is not None or len(parts) != 2:
-                    raise ValueError("malformed inputs header")
-                n_vars = int(parts[1])
-            elif parts[0] == "out":
-                if len(parts) != 2 or n_vars is None or out is not None:
-                    raise ValueError("malformed out line")
-                out = _gate_ref(parts[1])
-                if not 0 <= out < len(gates):
-                    raise ValueError(f"forward or dangling reference {parts[1]!r}")
-            elif n_vars is None:
-                raise ValueError("gate before inputs header")
-            elif out is not None:
-                raise ValueError("content after out line")
-            elif len(parts) < 3 or parts[1] != ":=" or parts[0] != f"g{len(gates)}":
+    """Read the text :func:`emit_gates` writes, and no other: the header
+    ``inputs <n>`` on line 1, one line per gate, and ``out g<i>`` naming the
+    last gate on the last line.  A malformed text raises ``ValueError``
+    naming its line."""
+    lines = read_lines(text)
+    lineno = 1
+    try:
+        n_vars = read_number(lines[0].partition(" ")[2])
+        if lines[0] != f"inputs {n_vars}" or n_vars < 0:
+            raise ValueError("malformed inputs header")
+        gates: list[Gate] = []
+        done = bytearray(len(lines))
+        for x, line in enumerate(lines[1:-1]):
+            lineno = x + 2
+            # read leniently, then refuse what gate_text would not write
+            kind, *args = line.partition(" := ")[2].split(" ")
+            gates.append((kind, *(read_number(a[1:] if a[:1] == "g" else a) for a in args)))
+            check_cone(gates, n_vars, x, done)
+            if line != f"g{x} := {gate_text(gates[x])}":
                 raise ValueError("malformed gate line")
-            else:
-                read = int if parts[2] in ("var", "const") else _gate_ref
-                g = (parts[2], *map(read, parts[3:]))
-                gates.append(g)
-                done.append(0)
-                check_cone(gates, n_vars, len(gates) - 1, done)
-        except ValueError as e:
-            raise ValueError(f"line {lineno}: {e}") from None
-    if n_vars is None or out is None:
-        raise ValueError("missing inputs header or out line")
-    if out != len(gates) - 1:
-        # Renumber so the output is last, matching canonical emission.
-        b = CircuitBuilder(n_vars)
-        return b.build(b.copy(gates, range(len(gates)))[out])
+        lineno = len(lines)
+        if not gates or lines[-1] != f"out g{len(gates) - 1}":
+            raise ValueError("no out line naming the last gate")
+    except ValueError as e:
+        raise ValueError(f"line {lineno}: {e}") from None
     return Circuit(n_vars, tuple(gates))

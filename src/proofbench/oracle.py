@@ -7,6 +7,7 @@ they can serve as ground truth when testing everything else.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -26,9 +27,9 @@ class SearchBudget:
     ``max_nodes`` bounds the search tree nodes of one call (summed over all
     its searches), and ``max_seconds`` is a wall-clock cutoff, checked at
     each search node and between the chunks of a truth table.  A cutoff of
-    ``None`` reads ``PROOFBENCH_MAX_SECONDS`` and, when that is unset or
-    empty, means 60 seconds: every search has a clock cap.  Hitting any cap
-    yields an explicit ``'exhausted'`` outcome, never a silent wrong answer.
+    ``None`` is :func:`env_max_seconds`: every search has a clock cap.
+    Hitting any cap yields an explicit ``'exhausted'`` outcome, never a
+    silent wrong answer.
     """
 
     max_assignments: int = 1 << 24
@@ -36,10 +37,21 @@ class SearchBudget:
     max_seconds: float | None = None
 
     def deadline(self) -> float:
-        limit = self.max_seconds
-        if limit is None:
-            limit = float(os.environ.get("PROOFBENCH_MAX_SECONDS") or 60)
+        limit = env_max_seconds() if self.max_seconds is None else self.max_seconds
         return time.monotonic() + limit
+
+
+def env_max_seconds() -> float:
+    """The clock cap that ``PROOFBENCH_MAX_SECONDS`` sets, 60 when it is
+    unset or empty; ``ValueError`` naming the variable unless it is a finite
+    number above 0."""
+    text = os.environ.get("PROOFBENCH_MAX_SECONDS") or "60"
+    try:
+        if 0 < float(text) < math.inf:
+            return float(text)
+    except ValueError:
+        pass
+    raise ValueError(f"PROOFBENCH_MAX_SECONDS must be a finite number above 0, not {text!r}")
 
 
 DEFAULT_BUDGET = SearchBudget()

@@ -11,7 +11,8 @@ justification:
 Each line's rule derives a clause (the downloaded clause or the resolvent),
 and the claimed clause is compared with it: ``'strict'`` mode requires them
 equal, ``'weakening'`` a superset whose extra literals lie over variables
-``1..n``.  A refutation must end in the empty clause.
+``1..n``.  A refutation must end in the empty clause.  Its text has one
+spelling: :func:`parse_proof` reads exactly the texts :func:`emit_proof` writes.
 """
 
 from __future__ import annotations
@@ -20,7 +21,17 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
 
-from .core import CheckReport, Cnf, check_numbers, nogc, restrict_clause, restrict_cnf, sorted_literals
+from .core import (
+    CheckReport,
+    Cnf,
+    nogc,
+    read_clause,
+    read_lines,
+    read_number,
+    restrict_clause,
+    restrict_cnf,
+    sorted_literals,
+)
 
 
 Justification = tuple
@@ -210,58 +221,37 @@ def _print_proof(proof: ResolutionProof) -> str:
 
 @nogc
 def parse_proof(text: str, target: Cnf) -> ResolutionProof:
-    """Read :func:`emit_proof`'s text form back into a proof of ``target``.
+    """Read the text :func:`emit_proof` writes for a proof of ``target``, and
+    no other; a proof with no lines is the text ``"\\n"``.
 
-    An ``A <l>`` line takes ``target``'s clause object itself; the clauses
-    spelled out in the text hold one int object per literal value, shared
-    through a table that grows with the text, not with ``target.n``.
+    An ``A <l>`` line takes ``target``'s clause object itself, and an
+    ``A <l> : <lits>`` line must spell another clause, since the emitter
+    writes ``A <l>`` for that one.  The clauses spelled out in the text share
+    their literals through :func:`~proofbench.core.read_clause`'s table.
     Raises ``ValueError`` naming the first line that does not parse.
     """
-    shared: dict[int, int] = {}
-
-    def read_ints(toks: list[str], lineno: int) -> list[int]:
-        try:
-            return [int(tok) for tok in toks]
-        except ValueError:
-            raise ValueError(f"line {lineno}: bad number in {' '.join(toks)!r}") from None
-
-    def read_clause(tail: str, lineno: int) -> frozenset[int]:
-        lits = []
-        for tok in tail.split():
-            try:
-                lit = int(tok)
-            except ValueError:
-                raise ValueError(f"line {lineno}: bad literal {tok!r}") from None
-            if lit == 0 or abs(lit) > target.n:
-                raise ValueError(f"line {lineno}: literal {lit} out of range")
-            lits.append(shared.setdefault(lit, lit))
-        return frozenset(lits)
-
-    check_numbers(text, "c")
+    rows = iter(read_lines(text) if text != "\n" else [])  # frees the list once read
+    shared: dict[str, int] = {}
     lines: list[ProofLine] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        head, _, tail = line.partition(":")
-        parts = head.split()
-        if not parts:
-            raise ValueError(f"line {lineno}: malformed proof line")
-        if parts[0] == "A":
-            if len(parts) != 2:
-                raise ValueError(f"line {lineno}: malformed axiom line")
-            (l,) = read_ints(parts[1:], lineno)
-            if not 0 <= l < target.k:
-                raise ValueError(f"line {lineno}: axiom index {l} out of range")
-            clause = read_clause(tail, lineno) if ":" in line else target.clauses[l]
-            lines.append((clause, ("A", l)))
-        elif parts[0] == "R":
-            if len(parts) != 4 or ":" not in line:
-                raise ValueError(f"line {lineno}: malformed resolution line")
-            j1, j2, piv = read_ints(parts[1:], lineno)
-            if j1 >= len(lines) or j2 >= len(lines) or j1 < 0 or j2 < 0:
-                raise ValueError(f"line {lineno}: forward or dangling premise reference")
-            lines.append((read_clause(tail, lineno), ("R", j1, j2, piv)))
-        else:
-            raise ValueError(f"line {lineno}: unknown rule {parts[0]!r}")
+    try:
+        for lineno, row in enumerate(rows, start=1):
+            toks = row.split(" ")
+            if toks[0] == "R" and len(toks) > 4 and toks[4] == ":":
+                j1, j2, piv = map(read_number, toks[1:4])
+                if not (0 <= j1 < len(lines) and 0 <= j2 < len(lines)):
+                    raise ValueError("forward or dangling premise reference")
+                lines.append((read_clause(toks[5:], shared, target.n), ("R", j1, j2, piv)))
+            elif toks[0] == "A" and (len(toks) == 2 or len(toks) > 2 and toks[2] == ":"):
+                l = read_number(toks[1])
+                if not 0 <= l < target.k:
+                    raise ValueError(f"axiom index {l} out of range")
+                axiom = target.clauses[l]
+                clause = axiom if len(toks) == 2 else read_clause(toks[3:], shared, target.n)
+                if len(toks) > 2 and clause == axiom:
+                    raise ValueError(f"the clause of axiom {l} is written A {l}")
+                lines.append((clause, ("A", l)))
+            else:
+                raise ValueError("malformed proof line")
+    except ValueError as e:
+        raise ValueError(f"line {lineno}: {e}") from None
     return ResolutionProof(target, tuple(lines))

@@ -225,6 +225,19 @@ def test_suite_values_are_checked_before_any_work(monkeypatch, capsys, argv, mes
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "abc"])
+def test_bad_max_seconds_is_named_before_any_work(monkeypatch, capsys, value):
+    def reached(*args, **kwargs):
+        raise AssertionError("sampled or ran tasks before the clock cap was checked")
+
+    monkeypatch.setattr(cli, "_sample_with_status", reached)
+    monkeypatch.setattr(cli, "_run_tasks", reached)
+    monkeypatch.setenv("PROOFBENCH_MAX_SECONDS", value)
+    assert main(["experiment", "am-roundtrip", "--count", "1", "--n", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: PROOFBENCH_MAX_SECONDS must be") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "argv, flag",
     [
@@ -312,7 +325,7 @@ def test_unread_option_is_reported_against_its_own_parser(capsys, argv, usage):
         (["php", "--pigeons", "2", "--out", "-"], "encode php needs --holes"),
         (["prf", "--m", "2", "--out", "-"], "encode prf needs --n and --k, or --cnf"),
         (["clique-color", "--k", "1", "--vertices", "3", "--out", "-"], "encode clique-color needs --out2"),
-        (["lrfn", "--m", "2", "--cnf", "bad.cnf", "--out", "-"], "--cnf: line 2: bad literal 'x'"),
+        (["lrfn", "--m", "2", "--cnf", "bad.cnf", "--out", "-"], "--cnf: line 2: bad number 'x'"),
     ],
 )
 def test_encode_option_errors_name_the_option(tmp_path, monkeypatch, capsys, argv, message):
@@ -425,6 +438,12 @@ def test_gate_rule_is_written_once():
     assert _functions_spelling("unknown kind") == {"core.check_cone"}
 
 
+def test_number_rule_is_written_once():
+    # The three readers share one number rule: only one function may refuse
+    # a number that no emitter writes, so no second rule can drift from it.
+    assert _functions_spelling("bad number") == {"core.read_number"}
+
+
 def test_option_reader_is_written_once():
     # Every encode and experiment option goes through one reader: only one
     # function may refuse a malformed value, so no second parser can drift.
@@ -472,7 +491,8 @@ def test_check_invalid_is_exit_one(tmp_path, capsys):
 def test_check_weakening_mode_flag(tmp_path):
     src = _write_pair(tmp_path)
     prf = tmp_path / "p.res"
-    prf.write_text("A 0 : 1\nA 1\nR 0 1 1 :\n")
+    prf.write_text("A 0\nA 1\nR 0 1 1 : -1\nR 0 2 1 :\n")  # line 2 weakens {} to {-1}
+    assert main(["check", "--cnf", str(src), "--proof", str(prf)]) == 1
     assert main(["check", "--cnf", str(src), "--proof", str(prf), "--mode", "weakening"]) == 0
 
 
@@ -483,6 +503,15 @@ def test_check_parse_and_io_errors_are_exit_two(tmp_path, capsys):
     assert main(["check", "--cnf", str(src), "--proof", str(prf)]) == 2
     assert main(["check", "--cnf", str(tmp_path / "missing"), "--proof", str(prf)]) == 2
     assert capsys.readouterr().err.count("error:") == 2
+
+
+def test_check_refuses_crlf_line_ends(tmp_path, capsys):
+    src = tmp_path / "pair.dimacs"
+    src.write_bytes(PAIR_DIMACS.replace("\n", "\r\n").encode())
+    prf = tmp_path / "p.res"
+    prf.write_text(PAIR_PROOF)
+    assert main(["check", "--cnf", str(src), "--proof", str(prf)]) == 2
+    assert capsys.readouterr().err.startswith("error: line 1: ")
 
 
 @pytest.mark.parametrize(

@@ -164,10 +164,16 @@ def test_parse_dimacs_pair():
 
 
 def test_parse_dimacs_comments_and_layout():
-    text = "c intro\np cnf 3 2\nc mid\n1 -2 0 3 0\n"
-    assert parse_dimacs(text) == cnf(3, [[1, -2], [3]])
-    # comments may spell numbers any way
-    assert parse_dimacs("c 01 -0 +1 1_0\n" + text) == cnf(3, [[1, -2], [3]])
+    # one spelling per CNF: no comments, and one clause per line
+    assert parse_dimacs("p cnf 3 2\n1 -2 0\n3 0\n") == cnf(3, [[1, -2], [3]])
+    for text, lineno in [
+        ("c intro\np cnf 3 2\n1 -2 0\n3 0\n", 1),
+        ("p cnf 3 2\nc mid\n1 -2 0\n3 0\n", 2),
+        ("p cnf 3 2\n1 -2 0 3 0\n", 2),
+        ("p cnf 3 2\n1 -2\n0\n3 0\n", 2),
+    ]:
+        with pytest.raises(ValueError, match=f"^line {lineno}:"):
+            parse_dimacs(text)
 
 
 @pytest.mark.parametrize(
@@ -194,7 +200,7 @@ def test_parse_dimacs_errors(text):
 
 def test_parse_dimacs_error_names_line():
     with pytest.raises(ValueError, match="line 2"):
-        parse_dimacs("c ok\np cnf 1\n")
+        parse_dimacs("p cnf 1 1\nc ok\n")
 
 
 def _random_cnf(rng, max_n=8, max_k=10):
@@ -270,7 +276,8 @@ def test_gate_list_round_trip():
     assert emit_gates(again) == emit_gates(c)
 
 
-def test_gate_list_output_not_last_is_renumbered():
+def test_gate_list_output_not_last_is_refused():
+    # emit_gates writes the output as the last gate, so no other text names it
     text = (
         "inputs 2\n"
         "g0 := var 1\n"
@@ -281,7 +288,8 @@ def test_gate_list_output_not_last_is_renumbered():
         "g5 := not g4\n"
         "out g4\n"
     )
-    assert parse_gates(text) == Circuit(2, (("var", 1), ("var", 2), ("or", 0, 1)))
+    with pytest.raises(ValueError, match="^line 8:"):
+        parse_gates(text)
 
 
 @st.composite
@@ -325,7 +333,7 @@ def test_gate_list_rejects_forward_reference():
         ("inputs 1\ng0 := const x\nout g0\n", 2),
         ("inputs 1\ng0 := var 1\ng1 := var 2\nout g1\n", 3),
         ("inputs 1\ng0 := const 1\ng1 := and g0\nout g1\n", 3),
-        ("inputs 1\ng0 := var 1\nout g0\nout g0\n", 4),
+        ("inputs 1\ng0 := var 1\nout g0\nout g0\n", 3),
         ("inputs 12\ng0 := var 1_0\nout g0\n", 2),
         ("inputs 1\ng0 := var \u0661\nout g0\n", 2),
         ("inputs 1\ng0 := var +1\nout g0\n", 2),
@@ -372,41 +380,88 @@ def _parse_and_check_proof(text):
     proof = parse_proof(text, PROOF_TARGET)
     for mode in ("strict", "weakening"):
         check_refutation(PROOF_TARGET, proof, mode=mode)
+    return proof
 
 
-# Valid texts for the mutations below to start from, with their readers.
+# Valid texts for the mutations below to start from, with their readers and
+# emitters.
 VALID_TEXTS = [
-    (parse_dimacs, "c three clauses\np cnf 3 3\n1 -2 0\n2 3 0\n-1 -3 0\n"),
-    (parse_gates, "inputs 2\ng0 := var 1\ng1 := var 2\ng2 := and g0 g1\ng3 := not g2\n"
-                  "g4 := imp g3 g0\nout g4\n"),
-    (_parse_and_check_proof, "A 0\nA 1\nR 0 1 2 : 1\nA 2 : -1 2\nR 2 3 1 : 2\n"),
+    (parse_dimacs, emit_dimacs, "p cnf 3 3\n1 -2 0\n2 3 0\n-1 -3 0\n"),
+    (parse_gates, emit_gates, "inputs 2\ng0 := var 1\ng1 := var 2\ng2 := and g0 g1\n"
+                              "g3 := not g2\ng4 := imp g3 g0\nout g4\n"),
+    (_parse_and_check_proof, emit_proof, "A 0\nA 1\nR 0 1 2 : 1\nA 2 : -1 2\nR 2 3 1 : 2\n"),
 ]
 TOKENS = st.sampled_from(
-    [" ", "\n", "\t", "0", "-", "1", "-3", "9" * 20, "1.5", "p", "cnf", "c", "g", "g-1", "g9",
+    [" ", "\n", "\t", "\r", "0", "-", "1", "-3", "9" * 20, "1.5", "p", "cnf", "c", "g", "g-1", "g9",
      ":=", ":", "A", "R", "inputs", "out", "var", "not", "const", "x", "\u00e9", "\u0663"]
 )
 
 
 @st.composite
 def mutated_texts(draw):
-    read, text = draw(st.sampled_from(VALID_TEXTS))
+    read, emit, text = draw(st.sampled_from(VALID_TEXTS))
     for _ in range(draw(st.integers(1, 4))):
         i = draw(st.integers(0, len(text)))
         j = draw(st.integers(i, min(len(text), i + 6)))
         text = text[:i] + draw(st.one_of(st.just(""), TOKENS)) + text[j:]
-    return read, text
+    return read, emit, text
 
 
 @settings(deadline=None, max_examples=500)
 @given(mutated_texts())
 def test_malformed_text_is_a_value_error(case):
-    # DIMACS, gate-list and proof readers return or raise ValueError, and a
-    # proof that reads is checked to a report: never another exception
-    read, text = case
+    # DIMACS, gate-list and proof readers raise ValueError or read what
+    # their emitter writes back byte for byte, and a proof that reads is
+    # checked to a report: never another exception
+    read, emit, text = case
     try:
-        read(text)
+        value = read(text)
     except ValueError:
-        pass
+        return
+    assert emit(value) == text
+
+
+# Texts that no emitter writes, with the line the reader names: the four
+# forms the readers once took (doubled spaces, a leading tab, a comment line
+# and no final newline), clauses out of order or with a repeated literal, an
+# axiom spelled out, an output before the last gate, and CRLF line ends.
+REFUSED = [
+    (parse_dimacs, "p cnf 3 2\n1  -2 0\n3 0\n", 2),
+    (parse_dimacs, "p cnf 3 2\n\t1 -2 0\n3 0\n", 2),
+    (parse_dimacs, "p cnf 3 2\n1 -2 0\nc last\n3 0\n", 3),
+    (parse_dimacs, "p cnf 3 2\n1 -2 0\n3 0", 3),
+    (parse_dimacs, "p cnf 3 2\n-2 1 0\n3 0\n", 2),
+    (parse_dimacs, "p cnf 3 2\n1 -2 0\n3 3 0\n", 3),
+    (parse_dimacs, "p cnf 3 2\r\n1 -2 0\r\n3 0\r\n", 1),
+    (parse_gates, "inputs 2\ng0 := var 1\ng1 :=  var 2\ng2 := or g0 g1\nout g2\n", 3),
+    (parse_gates, "inputs 2\n\tg0 := var 1\ng1 := var 2\ng2 := or g0 g1\nout g2\n", 2),
+    (parse_gates, "inputs 2\ng0 := var 1\nc gate\ng1 := var 2\ng2 := or g0 g1\nout g2\n", 3),
+    (parse_gates, "inputs 2\ng0 := var 1\ng1 := var 2\ng2 := or g0 g1\nout g2", 5),
+    (parse_gates, "inputs 2\ng0 := var 1\nout g0\ng1 := var 2\n", 3),
+    (parse_gates, "inputs 2\r\ng0 := var 1\r\nout g0\r\n", 1),
+    (parse_proof, "A 0\nA 1\nR 0 1 2 :  1\n", 3),
+    (parse_proof, "A 0\n\tA 1\nR 0 1 2 : 1\n", 2),
+    (parse_proof, "c proof\nA 0\nA 1\nR 0 1 2 : 1\n", 1),
+    (parse_proof, "A 0\nA 1\nR 0 1 2 : 1", 3),
+    (parse_proof, "A 0\nA 1\nR 0 1 2 : 1\nA 2 : 2 -1\n", 4),
+    (parse_proof, "A 0\nA 1\nR 0 1 2 : 1 1\n", 3),
+    (parse_proof, "A 0\nA 1 : -2\n", 2),
+    (parse_proof, "A 0\r\nA 1\r\n", 1),
+    (parse_proof, "", 1),
+]
+
+
+@pytest.mark.parametrize("read, text, lineno", REFUSED)
+def test_text_no_emitter_writes_is_refused(read, text, lineno):
+    args = (PROOF_TARGET,) if read is parse_proof else ()
+    with pytest.raises(ValueError, match=f"^line {lineno}:"):
+        read(text, *args)
+
+
+def test_proof_with_no_lines_reads_back():
+    empty = ResolutionProof(PROOF_TARGET, ())
+    assert emit_proof(empty) == "\n"
+    assert parse_proof("\n", PROOF_TARGET) == empty
 
 
 # ---------------------------------------------------------------------------

@@ -202,6 +202,15 @@ def test_search_budget_reads_environment(monkeypatch):
     assert before + 60 <= SearchBudget().deadline() <= time.monotonic() + 60
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "abc"])
+def test_bad_max_seconds_is_refused(monkeypatch, value):
+    # nan and inf would give a deadline that never passes, -1 one that has
+    # passed before the search starts
+    monkeypatch.setenv("PROOFBENCH_MAX_SECONDS", value)
+    with pytest.raises(ValueError, match="^PROOFBENCH_MAX_SECONDS must be a finite number above 0"):
+        SearchBudget().deadline()
+
+
 def test_tautology_budget_exhaustion():
     b = CircuitBuilder(5)
     c = b.build(b.or_(b.var(1), b.var(2)))

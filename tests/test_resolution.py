@@ -419,7 +419,7 @@ def test_forward_reference_rejected():
         ("A 0\nA 1\nR 0 1 1 : 1_0\n", 3),
         ("A +1\n", 1),
         ("A 00\n", 1),
-        ("c fine: 01 -0\nA 01\n", 2),
+        ("A 0\nA 01\n", 2),
         ("A 0\nA 1\nR 0 1 01 :\n", 3),
         ("A 0\nA 1\nR 0 1 1 : -0\n", 3),
     ],
@@ -437,7 +437,7 @@ def test_readers_grow_with_the_text_not_the_header():
     tracemalloc.start()
     try:
         f = parse_dimacs(text)
-        proof = parse_proof("A 0\nA 0 : -3999999999 1 4000000000\n", f)
+        proof = parse_proof("A 0\nA 0 : 1 -3999999999 4000000000\n", f)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
