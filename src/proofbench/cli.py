@@ -29,7 +29,7 @@ import sys
 import time
 from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
-from itertools import chain
+from itertools import chain, product
 
 from .cfcheck import cf_check
 from .cfrege import cf_prove_rfn_res
@@ -233,7 +233,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# experiment workers (top-level so a process pool can import them)
+# experiment suites.  Each suite is a plan, a task and a summary (see
+# cmd_experiment); tasks are top-level so a process pool can import them.
 
 
 def _random_cnf(rng: random.Random, max_n: int, max_k: int, max_width: int = 3) -> Cnf:
@@ -258,6 +259,26 @@ def _sample_with_status(rng: random.Random, want: str, max_n: int, max_k: int) -
             return (f,) + res[1:]
 
 
+def _run_tasks(fn, tasks: list, workers: int) -> list:
+    if workers <= 1:
+        return [fn(t) for t in tasks]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, tasks, chunksize=1))
+
+
+def _lrfn_plan(params: dict) -> list:
+    ms, n = params["m"], params["n"]
+    if len(ms) >= 2 and len(set(ms)) < 2:
+        # the degree fit needs two distinct points; say so before any work
+        raise UsageError("--m ladder needs at least two distinct values")
+    if n > 3 * min(ms):
+        # the sampled CNFs have up to --n variables, and the generator needs n <= 3m
+        raise UsageError("--n must be at most 3 times the smallest --m")
+    rng = random.Random(params["seed"])
+    instances = [_sample_with_status(rng, "sat", n, params["k"]) for _ in range(params["count"])]
+    return [(f, model, m) for f, model in instances for m in ms]
+
+
 def _lrfn_task(task: tuple) -> dict:
     f, a, m = task
     lines = len(refute_prf_nontaut(f, a, m))
@@ -271,6 +292,34 @@ def _lrfn_task(task: tuple) -> dict:
         "valid": True,  # refute_prf_nontaut raises on a proof that fails its check
         "within_bound": lines <= bound,
     }
+
+
+def _lrfn_summary(params: dict, records: list) -> tuple:
+    ms = params["m"]
+    fits = {}
+    if len(ms) >= 2:
+        per = [
+            fit_degree(ms, [records[i * len(ms) + j]["lines"] for j in range(len(ms))])
+            for i in range(params["count"])
+        ]
+        fits["degree_in_m"] = round(sum(per) / len(per), 3)
+    valid = sum(1 for r in records if r["valid"] and r["within_bound"])
+    aggregate = {"valid": valid, "total": len(records), "fits": fits}
+    ok = valid == len(records) and fits.get("degree_in_m", 0.0) <= 3.0
+    return aggregate, ok
+
+
+def _am_plan(params: dict) -> list:
+    budget = PolyBudget(params["p"], params["q"])  # refuses degree 0 before any sampling
+    rng = random.Random(params["seed"])
+    tasks = []
+    for idx in range(params["count"]):
+        want = "sat" if idx % 2 == 0 else "unsat"
+        got = _sample_with_status(rng, want, params["n"], 2 * params["n"])
+        f = got[0]
+        model = got[1] if want == "sat" else None
+        tasks.append((f, want, model, budget))
+    return tasks
 
 
 def _am_task(task: tuple) -> dict:
@@ -294,86 +343,7 @@ def _am_task(task: tuple) -> dict:
     return rec
 
 
-def _trend_task(task: tuple) -> dict:
-    f, max_lines = task
-    art = build_prf(1, f.n, f.k, encode_cnf(f, strict=False))
-    rho = art.formula
-    rec: dict = {"n": f.n, "vars": rho.n, "clauses": len(rho.clauses)}
-    upper = dpll_refute(rho)
-    rec["dpll_upper"] = len(upper.lines)
-    rec["dpll_valid"] = True  # dpll_refute raises on a proof that fails its check
-    res = min_refutation_length(rho, max_lines)
-    rec["search"] = res[0]
-    if res[0] == "found":
-        rec["value"] = res[1]
-        rec["valid"] = True  # min_refutation_length raises on a proof that fails its check
-    elif res[0] == "none-up-to":
-        rec["value"] = res[1] + 1  # certified lower bound
-    else:
-        rec["value"] = None
-    return rec
-
-
-def _cf_task(task: tuple) -> dict:
-    m, n, k = task
-    proof = cf_prove_rfn_res(m, n, k, check=False)
-    rep = cf_check(proof)
-    return {"m": m, "n": n, "k": k, "lines": rep.lines, "valid": rep.ok}
-
-
-def _run_tasks(fn, tasks: list, workers: int) -> list:
-    if workers <= 1:
-        return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks, chunksize=1))
-
-
-# ---------------------------------------------------------------------------
-# experiment suites
-
-_Result = tuple[dict, list, dict, bool]  # parameters, records, aggregate, ok
-
-
-def _exp_lrfn_nontaut(count: int, n: int, k: int, ms: list, seed: int, workers: int) -> _Result:
-    if len(ms) >= 2 and len(set(ms)) < 2:
-        # the degree fit needs two distinct points; say so before any work
-        raise UsageError("--m ladder needs at least two distinct values")
-    if n > 3 * min(ms):
-        # the sampled CNFs have up to --n variables, and the generator needs n <= 3m
-        raise UsageError("--n must be at most 3 times the smallest --m")
-    params = {"count": count, "n": n, "k": k, "m": ms, "seed": seed}
-    rng = random.Random(seed)
-    instances = [_sample_with_status(rng, "sat", n, k) for _ in range(count)]
-    tasks = [(f, model, m) for f, model in instances for m in ms]
-    records = _run_tasks(_lrfn_task, tasks, workers)
-    fits = {}
-    if len(ms) >= 2:
-        per = [
-            fit_degree(
-                [float(m) for m in ms],
-                [records[i * len(ms) + j]["lines"] for j in range(len(ms))],
-            )
-            for i in range(count)
-        ]
-        fits["degree_in_m"] = round(sum(per) / len(per), 3)
-    valid = sum(1 for r in records if r["valid"] and r["within_bound"])
-    aggregate = {"valid": valid, "total": len(records), "fits": fits}
-    ok = valid == len(records) and fits.get("degree_in_m", 0.0) <= 3.0
-    return params, records, aggregate, ok
-
-
-def _exp_am_roundtrip(count: int, n: int, p: tuple, q: tuple, seed: int, workers: int) -> _Result:
-    params = {"count": count, "n": n, "p": list(p), "q": list(q), "seed": seed}
-    budget = PolyBudget(p, q)  # refuses a degree-0 polynomial before any sampling
-    rng = random.Random(seed)
-    tasks = []
-    for idx in range(count):
-        want = "sat" if idx % 2 == 0 else "unsat"
-        got = _sample_with_status(rng, want, n, 2 * n)
-        f = got[0]
-        model = got[1] if want == "sat" else None
-        tasks.append((f, want, model, budget))
-    records = _run_tasks(_am_task, tasks, workers)
+def _am_summary(params: dict, records: list) -> tuple:
     correct = sum(1 for r in records if r["direction_ok"])
     skipped = sum(1 for r in records if r["direction_ok"] is None)
     aggregate = {
@@ -383,7 +353,7 @@ def _exp_am_roundtrip(count: int, n: int, p: tuple, q: tuple, seed: int, workers
         "fits": {},
     }
     ok = correct + skipped == len(records)
-    return params, records, aggregate, ok
+    return aggregate, ok
 
 
 def _unsat_pair_family(n: int) -> Cnf:
@@ -394,25 +364,48 @@ def _unsat_pair_family(n: int) -> Cnf:
     return cnf(n, clauses)
 
 
-def _exp_lowerbound_trend(ladder: list, budgets: list, workers: int) -> _Result:
+def _trend_plan(params: dict) -> list:
+    ladder, budgets = params["n"], params["max_lines"]
     if len(budgets) == 1:
-        budgets = budgets * len(ladder)
+        budgets = params["max_lines"] = budgets * len(ladder)
     if len(budgets) != len(ladder):
         raise UsageError("--max-lines needs one value, or one per ladder point")
-    params = {"family": "unsat-pairs", "n": ladder, "max_lines": budgets}
-    tasks = [(_unsat_pair_family(n), b) for n, b in zip(ladder, budgets)]
-    records = _run_tasks(_trend_task, tasks, workers)
-    known = [r["value"] for r in records if r["value"] is not None]
-    nondecreasing = all(a <= b for a, b in zip(known, known[1:]))
+    params["family"] = "unsat-pairs"  # the report names the family it ran
+    return [(_unsat_pair_family(n), b) for n, b in zip(ladder, budgets)]
+
+
+def _trend_task(task: tuple) -> dict:
+    f, max_lines = task
+    art = build_prf(1, f.n, f.k, encode_cnf(f, strict=False))
+    rho = art.formula
+    rec: dict = {"n": f.n, "vars": rho.n, "clauses": len(rho.clauses)}
+    upper = dpll_refute(rho)
+    rec["dpll_upper"] = len(upper.lines)
+    rec["dpll_valid"] = True  # dpll_refute raises on a proof that fails its check
+    res = min_refutation_length(rho, max_lines)
+    if res[0] == "exhausted":  # no verdict; dpll_refute has refused satisfiable input
+        raise TimeoutError(f"min_refutation_length: search exhausted at n={f.n}")
+    rec["search"] = res[0]
+    if res[0] == "found":
+        rec["value"] = res[1]
+        rec["valid"] = True  # min_refutation_length raises on a proof that fails its check
+    else:
+        rec["value"] = res[1] + 1  # none-up-to: a certified lower bound
+    return rec
+
+
+def _trend_summary(params: dict, records: list) -> tuple:
+    values = [r["value"] for r in records]
+    nondecreasing = all(a <= b for a, b in zip(values, values[1:]))
     aggregate = {
-        "values": [r["value"] for r in records],
+        "values": values,
         "nondecreasing": nondecreasing,
         "fits": {},
     }
     ok = nondecreasing and all(
         r.get("valid", True) and r["dpll_valid"] for r in records
     )
-    return params, records, aggregate, ok
+    return aggregate, ok
 
 
 # The derivation emits at most this many lines; grid-measured tail slopes
@@ -421,26 +414,27 @@ CF_BOUND_COEFF = 360
 CF_DEGREES = {"m": 2, "n": 2, "k": 1}
 
 
-def _exp_rfn_cf_sizes(top: int, workers: int) -> _Result:
-    params = {"max": top}
-    grid = [
-        (m, n, k)
-        for m in range(1, top + 1)
-        for n in range(1, top + 1)
-        for k in range(1, top + 1)
-    ]
-    records = _run_tasks(_cf_task, grid, workers)
+def _cf_plan(params: dict) -> list:
+    return list(product(range(1, params["max"] + 1), repeat=3))  # (m, n, k), k fastest
+
+
+def _cf_task(task: tuple) -> dict:
+    m, n, k = task
+    proof = cf_prove_rfn_res(m, n, k, check=False)
+    rep = cf_check(proof)
+    return {"m": m, "n": n, "k": k, "lines": rep.lines, "valid": rep.ok}
+
+
+def _cf_summary(params: dict, records: list) -> tuple:
+    top = params["max"]
     sizes = {(r["m"], r["n"], r["k"]): r["lines"] for r in records}
     fits = {}
     if top >= 2:
         axis_points = list(range(max(1, top - 3), top + 1))
         for axis in ("m", "n", "k"):
             pt = lambda v: tuple(v if a == axis else top for a in ("m", "n", "k"))
-            fits[f"degree_in_{axis}"] = round(
-                fit_degree([float(v) for v in axis_points],
-                           [sizes[pt(v)] for v in axis_points]),
-                3,
-            )
+            degree = fit_degree(axis_points, [sizes[pt(v)] for v in axis_points])
+            fits[f"degree_in_{axis}"] = round(degree, 3)
     ratio = max(s / (m * n * (m + n + k)) for (m, n, k), s in sizes.items())
     aggregate = {
         "fits": fits,
@@ -452,11 +446,12 @@ def _exp_rfn_cf_sizes(top: int, workers: int) -> _Result:
         and ratio <= CF_BOUND_COEFF
         and all(fits.get(f"degree_in_{a}", 0.0) <= d for a, d in CF_DEGREES.items())
     )
-    return params, records, aggregate, ok
+    return aggregate, ok
 
 
-# Each family and each suite with the options it reads, in the order its
-# function takes them, then the options that say where the output goes.  A
+# Each family's function and each suite's (plan, task, summary), with the
+# options it reads: in the order a family's function takes them, or as a
+# suite's parameters; then the options that say where the output goes.  A
 # default of None leaves the option unset; _REQUIRED refuses a run without it.
 _REQUIRED = object()
 _Opt = namedtuple("_Opt", "name read default positive", defaults=(int, _REQUIRED, False))
@@ -477,19 +472,19 @@ FAMILIES = {
 _COUNT, _N = _Opt("count", int, "100", True), _Opt("n", int, "6", True)
 _SEED, _RUN = _Opt("seed", int, "0"), (_Opt("workers", int, "1", True), _Opt("report", str, None))
 EXPERIMENTS = {
-    "lrfn-nontaut": (_exp_lrfn_nontaut, (
+    "lrfn-nontaut": ((_lrfn_plan, _lrfn_task, _lrfn_summary), (
         _COUNT, _N, _Opt("k", int, "8", True), _Opt("m", _parse_ladder, "32", True), _SEED, *_RUN)),
-    "am-roundtrip": (_exp_am_roundtrip, (
+    "am-roundtrip": ((_am_plan, _am_task, _am_summary), (
         _COUNT, _N, _Opt("p", parse_poly, "s"), _Opt("q", parse_poly, "s^3"), _SEED, *_RUN)),
-    "lowerbound-trend": (_exp_lowerbound_trend, (
+    "lowerbound-trend": ((_trend_plan, _trend_task, _trend_summary), (
         _Opt("n", _parse_ladder, "1..3", True), _Opt("max-lines", _parse_ladder, "11,10,10", True),
         *_RUN)),
-    "rfn-cf-sizes": (_exp_rfn_cf_sizes, (_Opt("max", int, "3", True), *_RUN)),
+    "rfn-cf-sizes": ((_cf_plan, _cf_task, _cf_summary), (_Opt("max", int, "3", True), *_RUN)),
 }
 
 
 def _read_options(args: argparse.Namespace, table: dict) -> tuple:
-    """The function of the family or suite ``args.name`` and its option
+    """The declaration of the family or suite ``args.name`` and its option
     values: every option is read and range-checked here, before any work."""
     fn, options = table[args.name]
     values = []
@@ -510,15 +505,18 @@ def _read_options(args: argparse.Namespace, table: dict) -> tuple:
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
-    """Run one suite and write its JSON report.  Every record carries the
-    checker verdict wherever a proof was produced (``valid``, or
-    ``dpll_valid`` for auxiliary upper-bound proofs); ``generated_at`` and
-    ``wall_clock_s`` are the only fields that differ between identical
-    invocations."""
+    """Run one suite and write its JSON report.  ``parameters`` are the
+    suite's options before ``--workers`` (``-`` spelled ``_``); ``plan``
+    refuses and samples before any task runs.  Records carry the checker
+    verdict of every proof produced (``valid``, or ``dpll_valid`` for
+    auxiliary upper-bound proofs); only ``generated_at`` and
+    ``wall_clock_s`` differ between identical invocations."""
     env_max_seconds()
-    suite, (*values, report_path) = _read_options(args, EXPERIMENTS)
+    (plan, task, summary), (*values, workers, report_path) = _read_options(args, EXPERIMENTS)
+    params = {o.name.replace("-", "_"): v for o, v in zip(EXPERIMENTS[args.name][1], values)}
     t0 = time.monotonic()
-    params, records, aggregate, ok = suite(*values)
+    records = _run_tasks(task, plan(params), workers)
+    aggregate, ok = summary(params, records)
     report = {
         "experiment": args.name,
         "parameters": params,

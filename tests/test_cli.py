@@ -450,6 +450,24 @@ def test_option_reader_is_written_once():
     assert _functions_spelling("bad value") == {"cli._read_options"}
 
 
+def test_experiment_record_path_is_written_once():
+    # Every suite is a (plan, task, summary) declaration: only cmd_experiment
+    # builds a report, times it and runs the tasks, so no suite keeps a
+    # second record path.
+    assert _functions_spelling("wall_clock_s") == {"cli.cmd_experiment"}
+    tree = ast.parse(Path(cli.__file__).read_text())
+    callers = {
+        fn.name
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_run_tasks"
+    }
+    assert callers == {"cmd_experiment"}
+    functions = [fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)]
+    assert [name for name in functions if name.startswith("_exp_")] == []
+
+
 def test_package_has_no_assert():
     # python -O strips assert statements, so every guard must raise
     pkg = Path(cli.__file__).parent
@@ -577,10 +595,11 @@ def test_experiment_reports_are_pinned(capsys, argv, pin):
     assert hashlib.sha256(stable.encode()).hexdigest()[:16] == pin
 
 
-def test_experiment_workers_match_serial(tmp_path):
-    args = [
-        "experiment", "am-roundtrip", "--count", "2", "--n", "1", "--seed", "5",
-    ]
+@pytest.mark.parametrize(
+    "argv", [argv for argv, _ in EXPERIMENT_REPORTS], ids=[argv[0] for argv, _ in EXPERIMENT_REPORTS]
+)
+def test_experiment_workers_match_serial(tmp_path, argv):
+    args = ["experiment"] + argv
     r1, r2 = tmp_path / "w1.json", tmp_path / "w2.json"
     assert main(args + ["--workers", "1", "--report", str(r1)]) == 0
     assert main(args + ["--workers", "2", "--report", str(r2)]) == 0
@@ -644,6 +663,16 @@ def test_internal_error_is_exit_three(monkeypatch, capsys, name, error, args):
     assert main(["experiment"] + args) == 3
     err = capsys.readouterr().err
     assert err == f"internal error: {error}\n"
+
+
+def test_exhausted_trend_search_is_exit_three(monkeypatch, capsys):
+    # An exhausted minimal-length search is no verdict, so the run stops as
+    # a search that hits its cap does, whatever the machine's speed.
+    monkeypatch.setattr(cli, "min_refutation_length", lambda *a, **kw: ("exhausted",))
+    assert main(["experiment", "lowerbound-trend", "--n", "1..3", "--max-lines", "11"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("internal error: ") and err.count("\n") == 1
 
 
 def test_exhausted_search_is_resampled(monkeypatch):
