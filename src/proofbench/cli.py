@@ -260,6 +260,7 @@ def _sample_with_status(rng: random.Random, want: str, max_n: int, max_k: int) -
 
 
 def _run_tasks(fn, tasks: list, workers: int) -> list:
+    workers = min(workers, len(tasks))  # a process for each task at most
     if workers <= 1:
         return [fn(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -71,6 +71,18 @@ def sorted_literals(cl: Iterable[int]) -> list[int]:
     return sorted(sorted(cl), key=abs)
 
 
+def literal_table(clauses: Iterable[Iterable[int]]) -> tuple[dict[int, str], dict[int, int]]:
+    """The text and the :func:`sorted_literals` rank of each distinct literal
+    of ``clauses``: the one table through which an emitter sorts a clause,
+    ``sorted(cl, key=rank.__getitem__)``, and spells it,
+    ``map(text.__getitem__, ...)``, with no sort or ``str`` call per
+    occurrence.  The literals are gathered by one union, so the cost follows
+    the distinct literals of the text, not the variable count, and any int
+    has an entry."""
+    lits = sorted_literals(frozenset().union(*clauses))
+    return dict(zip(lits, map(str, lits))), dict(zip(lits, range(len(lits))))
+
+
 @dataclass(frozen=True)
 class CheckReport:
     """Verdict of a proof check, from either checker:
@@ -80,10 +92,11 @@ class CheckReport:
     ``step`` and ``reason`` locate the first failure; ``lines`` and
     ``bit_size`` describe the proof itself so callers can log sizes without
     re-serializing.  ``check_refutation`` reads ``bit_size`` off the proof's
-    one memoized printing, so a later ``emit_proof`` of the same proof
-    prints nothing.  ``cf_check`` always reports ``bit_size`` 0.  A failing
-    report has ``bit_size`` 0: a proof that does not check may have no text
-    form at all.
+    one memoized text, so a later ``emit_proof`` of the same proof prints
+    nothing; a proof read by ``parse_proof`` is never printed, since its
+    text is the text it was read from.  ``cf_check`` always reports
+    ``bit_size`` 0.  A failing report has ``bit_size`` 0: a proof that does
+    not check may have no text form at all.
     """
 
     ok: bool
@@ -107,10 +120,14 @@ class Cnf:
     def __post_init__(self) -> None:
         if self.n < 0:
             raise ValueError(f"negative variable count {self.n}")
-        for cl in self.clauses:
-            for lit in cl:
-                if lit == 0 or abs(lit) > self.n:
-                    raise ValueError(f"literal {lit} out of range for n={self.n}")
+        # Each distinct literal is checked once; only a failing check walks
+        # the clauses in order, to name the first bad literal.
+        lits = frozenset().union(*self.clauses)
+        if lits and (0 in lits or min(lits) < -self.n or max(lits) > self.n):
+            for cl in self.clauses:
+                for lit in cl:
+                    if lit == 0 or abs(lit) > self.n:
+                        raise ValueError(f"literal {lit} out of range for n={self.n}")
 
     @property
     def k(self) -> int:
@@ -675,9 +692,10 @@ def emit_dimacs(f: Cnf) -> str:
     """Canonical emission: ascending variable order inside each clause
     (negative literal first on a tie), original clause order, no comments;
     the only texts :func:`parse_dimacs` reads."""
+    text, rank = literal_table(f.clauses)
+    spell, key = text.__getitem__, rank.__getitem__
     lines = [f"p cnf {f.n} {f.k}"]
-    for cl in f.clauses:
-        lines.append(" ".join(map(str, sorted_literals(cl) + [0])))
+    lines += [" ".join([*map(spell, sorted(cl, key=key)), "0"]) for cl in f.clauses]
     return "\n".join(lines) + "\n"
 
 

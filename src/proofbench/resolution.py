@@ -24,13 +24,13 @@ from typing import Mapping
 from .core import (
     CheckReport,
     Cnf,
+    literal_table,
     nogc,
     read_clause,
     read_lines,
     read_number,
     restrict_clause,
     restrict_cnf,
-    sorted_literals,
 )
 
 
@@ -49,7 +49,8 @@ class ResolutionProof:
     @cached_property
     def _text(self) -> str:
         # The proof is immutable, so its text is printed at most once; the
-        # cached value lives in the instance dict, outside the fields.
+        # cached value lives in the instance dict, outside the fields, where
+        # parse_proof seeds it with the text it read.
         return _print_proof(self)
 
     def bit_size(self) -> int:
@@ -197,8 +198,9 @@ def emit_proof(proof: ResolutionProof) -> str:
     clause weakens the download; ``R <j1> <j2> <pivot> : <lits>`` for
     resolution lines (the clause is always spelled out so weakening steps
     round-trip).  Literals are sorted by variable with the negative literal
-    first on ties.  Each proof object is printed once; later calls return
-    the same string.
+    first on ties.  Each proof object is printed at most once; later calls
+    return the same string, and a proof read by :func:`parse_proof` returns
+    the text it was read from, unprinted.
     """
     return proof._text
 
@@ -207,11 +209,13 @@ def emit_proof(proof: ResolutionProof) -> str:
 def _print_proof(proof: ResolutionProof) -> str:
     out = []
     axioms = proof.target.clauses
+    text, rank = literal_table(clause for clause, _ in proof.lines)
+    spell, key = text.__getitem__, rank.__getitem__
     for clause, just in proof.lines:
         if just[0] == "A" and clause == axioms[just[1]]:
             out.append(f"A {just[1]}")
             continue
-        lits = " ".join(map(str, sorted_literals(clause)))
+        lits = " ".join(map(spell, sorted(clause, key=key)))
         if just[0] == "A":
             out.append(f"A {just[1]} : {lits}".rstrip())
         else:
@@ -229,6 +233,10 @@ def parse_proof(text: str, target: Cnf) -> ResolutionProof:
     writes ``A <l>`` for that one.  The clauses spelled out in the text share
     their literals through :func:`~proofbench.core.read_clause`'s table.
     Raises ``ValueError`` naming the first line that does not parse.
+
+    The reader accepts only what the emitter writes, so ``text`` is the
+    returned proof's text: it seeds the proof's memo, and neither
+    :func:`emit_proof` nor :func:`check_refutation` prints the proof again.
     """
     rows = iter(read_lines(text) if text != "\n" else [])  # frees the list once read
     shared: dict[str, int] = {}
@@ -254,4 +262,6 @@ def parse_proof(text: str, target: Cnf) -> ResolutionProof:
                 raise ValueError("malformed proof line")
     except ValueError as e:
         raise ValueError(f"line {lineno}: {e}") from None
-    return ResolutionProof(target, tuple(lines))
+    proof = ResolutionProof(target, tuple(lines))
+    vars(proof)["_text"] = text  # the one text that prints this proof
+    return proof

@@ -10,6 +10,7 @@ import json
 import math
 import random
 import tomllib
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -605,6 +606,25 @@ def test_experiment_workers_match_serial(tmp_path, argv):
     assert main(args + ["--workers", "2", "--report", str(r2)]) == 0
     a, b = _load_report(r1), _load_report(r2)
     assert _stable(a) == _stable(b)
+
+
+@pytest.mark.parametrize(
+    "argv, tasks",
+    [(["rfn-cf-sizes", "--max", "1"], 1), (["lowerbound-trend", "--n", "1,2", "--max-lines", "5,5"], 2)],
+    ids=["rfn-cf-sizes", "lowerbound-trend"],
+)
+def test_experiment_starts_no_more_workers_than_tasks(monkeypatch, tmp_path, argv, tasks):
+    started = []
+    spawn = ProcessPoolExecutor._spawn_process
+
+    def counted(pool):
+        started.append(pool)
+        return spawn(pool)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "_spawn_process", counted)
+    report = tmp_path / "r.json"
+    assert main(["experiment"] + argv + ["--workers", "3", "--report", str(report)]) == 0
+    assert len(started) <= tasks and len(_load_report(report)["records"]) == tasks
 
 
 def test_experiment_lowerbound_trend_smallest_point(tmp_path):

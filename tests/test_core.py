@@ -37,6 +37,7 @@ from proofbench.core import (
     parse_gates,
     restrict_cnf,
     shift_cnf,
+    sorted_literals,
 )
 from proofbench.encoder import build_prf
 from proofbench.proofgen import refute_prf_nontaut
@@ -236,6 +237,66 @@ def test_dimacs_round_trip_property(n, data):
     assert parse_dimacs(emit_dimacs(f)) == f
 
 
+def _reference_dimacs(f):
+    lines = [f"p cnf {f.n} {f.k}"]
+    lines += [" ".join(map(str, sorted_literals(cl) + [0])) for cl in f.clauses]
+    return "\n".join(lines) + "\n"
+
+
+def _reference_proof_text(proof):
+    out = []
+    for clause, just in proof.lines:
+        if just[0] == "A" and clause == proof.target.clauses[just[1]]:
+            out.append(f"A {just[1]}")
+        else:
+            lits = " ".join(map(str, sorted_literals(clause)))
+            out.append(f"{' '.join(map(str, just))} : {lits}".rstrip())
+    return "\n".join(out) + "\n"
+
+
+def test_emitters_match_the_sorted_literals_reference():
+    # Byte for byte against one sort and one str() per literal occurrence:
+    # clauses with both x and -x, as the prf c2 slots have, and unchecked
+    # proofs whose literals lie outside 1..n, 0 and huge ints among them.
+    rng = random.Random(2907)
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        clauses = []
+        for _ in range(rng.randint(0, 8)):
+            cl = {rng.choice((1, -1)) * rng.randint(1, n) for _ in range(rng.randint(0, 5))}
+            if rng.random() < 0.5:
+                v = rng.randint(1, n)
+                cl |= {v, -v}
+            clauses.append(cl)
+        f = cnf(n, clauses)
+        assert emit_dimacs(f) == _reference_dimacs(f)
+        wild = (-(10**20), -3 * n, -n - 1, 0, n + 1, 10**20)
+        lines = []
+        for t in range(rng.randint(0, 10)):
+            clause = frozenset(
+                rng.choice(wild) if rng.random() < 0.3 else rng.choice((1, -1)) * rng.randint(1, n)
+                for _ in range(rng.randint(0, 5))
+            )
+            if f.k and rng.random() < 0.4:
+                l = rng.randrange(f.k)
+                lines.append((f.clauses[l] if rng.random() < 0.5 else clause, ("A", l)))
+            else:
+                lines.append((clause, ("R", rng.randint(-2, t + 2), rng.randint(0, t), rng.choice(wild))))
+        proof = ResolutionProof(f, tuple(lines))
+        assert emit_proof(proof) == _reference_proof_text(proof)
+
+
+def test_bad_cnf_literal_is_named_in_clause_order():
+    # the first bad literal met walking the clauses, not the extreme one
+    with pytest.raises(ValueError, match=r"^literal 4 out of range for n=3$"):
+        Cnf(3, (frozenset({1, -2}), frozenset({4}), frozenset({-9, 0})))
+    with pytest.raises(ValueError, match=r"^literal 0 out of range for n=3$"):
+        cnf(3, [[1, 2, 3], [-3, 0]])
+    with pytest.raises(ValueError, match=r"^literal -1 out of range for n=0$"):
+        cnf(0, [[], [-1]])
+    assert Cnf(3, (frozenset({-3, 3}), frozenset())).clauses[0] == {-3, 3}
+
+
 # ---------------------------------------------------------------------------
 # circuits and gate lists
 
@@ -383,13 +444,19 @@ def _parse_and_check_proof(text):
     return proof
 
 
+def _print_fresh_proof(proof):
+    # a new object, so that the printer runs: the proof parse_proof returns
+    # already holds the text it was read from
+    return emit_proof(ResolutionProof(proof.target, proof.lines))
+
+
 # Valid texts for the mutations below to start from, with their readers and
 # emitters.
 VALID_TEXTS = [
     (parse_dimacs, emit_dimacs, "p cnf 3 3\n1 -2 0\n2 3 0\n-1 -3 0\n"),
     (parse_gates, emit_gates, "inputs 2\ng0 := var 1\ng1 := var 2\ng2 := and g0 g1\n"
                               "g3 := not g2\ng4 := imp g3 g0\nout g4\n"),
-    (_parse_and_check_proof, emit_proof, "A 0\nA 1\nR 0 1 2 : 1\nA 2 : -1 2\nR 2 3 1 : 2\n"),
+    (_parse_and_check_proof, _print_fresh_proof, "A 0\nA 1\nR 0 1 2 : 1\nA 2 : -1 2\nR 2 3 1 : 2\n"),
 ]
 TOKENS = st.sampled_from(
     [" ", "\n", "\t", "\r", "0", "-", "1", "-3", "9" * 20, "1.5", "p", "cnf", "c", "g", "g-1", "g9",
