@@ -1,9 +1,10 @@
 """Circuit-Frege proof generators for reflection, and the proof text form.
 
 The calculus and its checker live in :mod:`proofbench.cfcheck`.  Each
-generator checks its finished proof once with :func:`cf_check` (unless
-``cf_prove_rfn_res`` is told ``check=False``), and :func:`cf_serialize`
-prints a proof for reports and files.
+generator checks its finished proof once with :func:`cf_check` and returns
+it through :func:`~proofbench.core.checked`, which raises ``RuntimeError``
+on a rejection (``cf_prove_rfn_res`` told ``check=False`` skips the check).
+:func:`cf_serialize` prints a proof for reports and files.
 
 The reflection proof (:func:`cf_prove_rfn_res`) works in clause form: a
 judgment "under the hypothesis prf & sat at least one of these holds" is a
@@ -18,7 +19,7 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from .cfcheck import CanonTable, CfLine, CfProof, cf_check, instantiate_schema
-from .core import Circuit, CircuitBuilder, Cnf, cone, encode_cnf, gate_text, nogc
+from .core import Circuit, CircuitBuilder, Cnf, checked, cone, encode_cnf, gate_text, nogc
 from .encoder import (
     PrfLayout,
     _rfn_parts,
@@ -26,15 +27,6 @@ from .encoder import (
     build_lrfn,
     build_rfn,
 )
-
-
-def _checked(proof: CfProof, what: str) -> CfProof:
-    """``proof`` itself once :func:`cf_check` accepts it; a rejection is an
-    internal error of the code that built it."""
-    report = cf_check(proof)
-    if not report.ok:
-        raise RuntimeError(f"{what} proof invalid at line {report.step}: {report.reason}")
-    return proof
 
 
 def cf_serialize(proof: CfProof) -> str:
@@ -556,7 +548,7 @@ def _export(
     proof = CfProof(w.arena, tuple(w.lines))
     if proof.last_circuit() != build_rfn(m, n, k):
         raise RuntimeError("final circuit is not the reflection target")
-    return _checked(proof, "reflection") if check else proof
+    return checked(proof, cf_check(proof), "reflection proof") if check else proof
 
 
 # ---------------------------------------------------------------------------
@@ -590,7 +582,8 @@ def cf_prove_sat_equiv(f: Cnf) -> CfProof:
         (b.imp(bwd, b.and_(fwd, bwd)), ("mp", 3, 1)),
         (b.and_(fwd, bwd), ("mp", 4, 2)),
     )
-    return _checked(CfProof(b, lines), "satisfaction-equivalence")
+    proof = CfProof(b, lines)
+    return checked(proof, cf_check(proof), "satisfaction-equivalence proof")
 
 
 # ---------------------------------------------------------------------------
@@ -617,7 +610,8 @@ def cf_substitute(
         if not 1 <= v <= proof.arena.n_vars:
             raise ValueError(f"substituted variable {v} out of range")
         roots[v] = arena.import_circuit(c)
-    return _checked(_substitute(proof, arena, roots), "substituted")
+    out = _substitute(proof, arena, roots)
+    return checked(out, cf_check(out), "substituted proof")
 
 
 def _substitute(proof: CfProof, arena: CircuitBuilder, image: Mapping[int, int]) -> CfProof:
@@ -676,4 +670,4 @@ def lrfn_from_rfn(proof: CfProof, f: Cnf) -> CfProof:
     out = CfProof(arena, sub.lines + ((tnode, ("canon", len(sub.lines) - 1)),))
     if out.last_circuit() != target:
         raise RuntimeError("localized proof does not end in the local-reflection circuit")
-    return _checked(out, "localized")
+    return checked(out, cf_check(out), "localized proof")

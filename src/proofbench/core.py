@@ -97,6 +97,9 @@ class CheckReport:
     text is the text it was read from.  ``cf_check`` always reports
     ``bit_size`` 0.  A failing report has ``bit_size`` 0: a proof that does
     not check may have no text form at all.
+
+    Every generator hands its finished proof and this report to
+    :func:`checked`, the one place where a rejection becomes an error.
     """
 
     ok: bool
@@ -104,6 +107,15 @@ class CheckReport:
     reason: str | None
     lines: int
     bit_size: int
+
+
+def checked(proof, report: CheckReport, what: str):
+    """``proof`` itself when ``report``, its checker's verdict on it, passes.
+    A generator whose own proof fails its check is at fault, not its input,
+    so a rejection raises ``RuntimeError`` naming ``what`` and the step."""
+    if not report.ok:
+        raise RuntimeError(f"{what} invalid at step {report.step}: {report.reason}")
+    return proof
 
 
 # ---------------------------------------------------------------------------
@@ -163,16 +175,6 @@ def restrict_clause(cl: frozenset[int], rho: Mapping[int, int]) -> frozenset[int
         else:
             out.append(lit)
     return frozenset(out)
-
-
-def restrict_cnf(f: Cnf, rho: Mapping[int, int]) -> Cnf:
-    """Delete satisfied clauses, strip falsified literals; keeps ``n``."""
-    kept = []
-    for cl in f.clauses:
-        r = restrict_clause(cl, rho)
-        if r is not None:
-            kept.append(r)
-    return Cnf(f.n, tuple(kept))
 
 
 def shift_cnf(f: Cnf, offset: int, n: int) -> Cnf:

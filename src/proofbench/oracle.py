@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
-from .core import Circuit, Cnf, truth_table_chunks
+from .core import Circuit, Cnf, checked, truth_table_chunks
 from .resolution import ResolutionProof, check_refutation
 
 
@@ -24,9 +24,12 @@ class SearchBudget:
     ``max_assignments`` bounds the truth-table size ``2**n_vars``.  The work
     is only ``2**s`` for the ``s`` inputs the output reads, but the cap
     counts every input, so the answer does not depend on ``s``.
-    ``max_nodes`` bounds the search tree nodes of one call (summed over all
-    its searches), and ``max_seconds`` is a wall-clock cutoff, checked at
-    each search node and between the chunks of a truth table.  A cutoff of
+    ``max_nodes`` bounds the search tree nodes of one search, and
+    ``max_seconds`` is a wall-clock cutoff, checked at each search node and
+    between the chunks of a truth table.  Each search has its own count and
+    clock: :func:`min_refutation_length` shares one between its descending
+    searches, but its :func:`dpll_sat` probe starts afresh, so one call can
+    spend twice ``max_nodes`` and twice ``max_seconds``.  A cutoff of
     ``None`` is :func:`env_max_seconds`: every search has a clock cap.
     Hitting any cap yields an explicit ``'exhausted'`` outcome, never a
     silent wrong answer.
@@ -164,7 +167,7 @@ def _dpll(f: Cnf, budget: SearchBudget, lines: list | None):
     once: that clause is false in the other branch too, which so holds no
     model, and the first model found is plain DPLL's.  With ``lines`` a
     list, each clause is derived there as a proof line and stands for its
-    index.  Returns ``('sat', model)`` or ``('unsat', root clause)``.
+    index.  Returns ``('sat', model)`` or ``('unsat',)``.
     """
     deadline = budget.deadline()
     nodes = 0
@@ -192,8 +195,6 @@ def _dpll(f: Cnf, budget: SearchBudget, lines: list | None):
 
     def resolve(j1: int, j2: int, pivot: int) -> int:
         c1, c2 = lines[j1][0], lines[j2][0]
-        if pivot not in c1 or -pivot not in c2:
-            raise RuntimeError(f"lines {j1} and {j2} do not clash on {pivot}")
         return emit((c1 - {pivot}) | (c2 - {-pivot}), ("R", j1, j2, pivot))
 
     def explain(start: int, keep: int | None, prop: int) -> int:
@@ -259,7 +260,7 @@ def _dpll(f: Cnf, budget: SearchBudget, lines: list | None):
 
     empty = next((ci for ci, cl in enumerate(clauses) if not cl), None)
     root = solve(None, 0, 0, 0) if empty is None else closed(empty, 0)
-    return ("sat", model) if root is None else ("unsat", root)
+    return ("sat", model) if root is None else ("unsat",)
 
 
 def dpll_sat(f: Cnf, budget: SearchBudget = DEFAULT_BUDGET):
@@ -270,10 +271,9 @@ def dpll_sat(f: Cnf, budget: SearchBudget = DEFAULT_BUDGET):
     :func:`dpll_refute`'s, and finds the model plain DPLL finds.
     """
     try:
-        out = _dpll(f, budget, None)
+        return _dpll(f, budget, None)
     except TimeoutError:
         return ("exhausted",)
-    return out if out[0] == "sat" else ("unsat",)
 
 
 def dpll_refute(f: Cnf, budget: SearchBudget = DEFAULT_BUDGET) -> ResolutionProof:
@@ -286,17 +286,12 @@ def dpll_refute(f: Cnf, budget: SearchBudget = DEFAULT_BUDGET) -> ResolutionProo
     own check.
     """
     lines: list[tuple[frozenset[int], tuple]] = []
-    out = _dpll(f, budget, lines)
-    if out[0] == "sat":
+    if _dpll(f, budget, lines)[0] == "sat":
         raise ValueError("input is satisfiable; no refutation exists")
-    final = lines[out[1]][0]
-    if final:
-        raise RuntimeError(f"root clause not empty: {sorted(final)}")
+    # No line follows the first empty clause, so a root clause that is not
+    # empty leaves a last line that fails the check.
     proof = ResolutionProof(f, tuple(lines))
-    report = check_refutation(f, proof, mode="strict")
-    if not report.ok:
-        raise RuntimeError(f"internal refutation invalid at step {report.step}: {report.reason}")
-    return proof
+    return checked(proof, check_refutation(f, proof, mode="strict"), "DPLL refutation")
 
 
 # ---------------------------------------------------------------------------
@@ -414,15 +409,6 @@ def min_refutation_length(
     if sat[0] == "exhausted":
         return ("exhausted",)
 
-    if frozenset() in f.clauses:
-        # Empty clause is an input: one-line refutation (if budget allows).
-        if max_lines >= 1:
-            proof = ResolutionProof(
-                f, ((frozenset(), ("A", f.clauses.index(frozenset()))),)
-            )
-            return ("found", 1, proof)
-        return ("none-up-to", max_lines)
-
     # A clause is one integer: bit v-1 holds x_v and bit n+v-1 holds -x_v,
     # so subset, union and literal removal are single integer operations.
     n = f.n
@@ -526,6 +512,9 @@ def min_refutation_length(
         )
 
     found, limit = None, max_lines
+    if frozenset() in f.clauses and limit >= 1:
+        # An input empty clause is the one-line refutation.
+        found, limit = ([0], [("A", f.clauses.index(frozenset()))]), 0
     while limit >= 1:
         pool = [{} for _ in range(limit)]
         for c in axioms:
@@ -542,7 +531,5 @@ def min_refutation_length(
         return ("none-up-to", max_lines)
     derived, justs = found
     proof = ResolutionProof(f, tuple(zip(map(unpack, derived), justs)))
-    rep = check_refutation(f, proof, mode="strict")
-    if not rep.ok:
-        raise RuntimeError(f"minimal witness fails strict check: {rep.reason}")
+    proof = checked(proof, check_refutation(f, proof, mode="strict"), "minimal refutation")
     return ("found", len(derived), proof)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .core import Cnf, encode_cnf, nogc, shift_cnf
+from .core import Cnf, checked, encode_cnf, nogc, shift_cnf
 from .encoder import EncodingArtifact, build_prf
 from .oracle import dpll_refute, dpll_sat
 from .resolution import ProofLine, ResolutionProof, check_refutation, restrict_proof
@@ -57,13 +57,6 @@ def refute_prf_nontaut(f: Cnf, a: Sequence[int], m: int) -> ResolutionProof:
 
     lines: list[ProofLine] = []
 
-    def checked() -> ResolutionProof:
-        proof = ResolutionProof(g, tuple(lines))
-        report = check_refutation(g, proof, mode="weakening")
-        if not report.ok:
-            raise RuntimeError(f"generated refutation invalid at {report.step}: {report.reason}")
-        return proof
-
     def emit(clause: frozenset[int], just: tuple) -> int:
         lines.append((clause, just))
         return len(lines) - 1
@@ -78,14 +71,6 @@ def refute_prf_nontaut(f: Cnf, a: Sequence[int], m: int) -> ResolutionProof:
 
     def s_clause(j: int) -> frozenset[int]:
         return frozenset(lay.y(a[i - 1], i, j) for i in range(1, n + 1))
-
-    if k == 0:
-        # Line 1 can download nothing: alo_s(1) is the unit -ax(1) and
-        # ax_first the unit +ax(1).
-        c1 = download(("alo_s", 1))
-        c2 = download(("ax_first",))
-        resolve(c2, c1, lay.ax(1))
-        return checked()
 
     def true_literal(l: int) -> tuple[int, int]:
         """(e, i) of the first literal of input clause ``l`` true under a."""
@@ -157,25 +142,33 @@ def refute_prf_nontaut(f: Cnf, a: Sequence[int], m: int) -> ResolutionProof:
             r_line = acc
         return r_line
 
-    s_line = [None]  # 1-based
-    for j in range(1, m + 1):
-        a_branch = axiom_branch(j)
-        if j == 1:
-            first = download(("ax_first",))
-            s_line.append(resolve(first, a_branch, lay.ax(1)))
-        else:
-            r_branch = resolution_branch(j, s_line)
-            s_line.append(resolve(r_branch, a_branch, lay.ax(j)))
+    if k == 0:
+        # Line 1 can download nothing: alo_s(1) is the unit -ax(1) and
+        # ax_first the unit +ax(1).
+        c1 = download(("alo_s", 1))
+        c2 = download(("ax_first",))
+        resolve(c2, c1, lay.ax(1))
+    else:
+        s_line = [None]  # 1-based
+        for j in range(1, m + 1):
+            a_branch = axiom_branch(j)
+            if j == 1:
+                first = download(("ax_first",))
+                s_line.append(resolve(first, a_branch, lay.ax(1)))
+            else:
+                r_branch = resolution_branch(j, s_line)
+                s_line.append(resolve(r_branch, a_branch, lay.ax(j)))
 
-    acc = s_line[m]
-    for i in range(1, n + 1):
-        e = a[i - 1]
-        c5 = download(("c5", i, e))
-        acc = resolve(acc, c5, lay.y(e, i, m))
+        acc = s_line[m]
+        for i in range(1, n + 1):
+            e = a[i - 1]
+            c5 = download(("c5", i, e))
+            acc = resolve(acc, c5, lay.y(e, i, m))
 
     if len(lines) > line_bound(m, n, k):
         raise RuntimeError(f"generated refutation exceeds line_bound: {len(lines)} lines")
-    return checked()
+    proof = ResolutionProof(g, tuple(lines))
+    return checked(proof, check_refutation(g, proof, mode="weakening"), "generated refutation")
 
 
 # ---------------------------------------------------------------------------
@@ -186,11 +179,11 @@ def encode_witness(
     f: Cnf,
     proof: ResolutionProof,
     m: int,
-    artifact: EncodingArtifact | None = None,
+    artifact: EncodingArtifact,
 ) -> tuple[int, ...]:
     """Bit image of a weakening refutation of ``f`` inside the ``m``-line
-    prf variable space; the result satisfies ``build_prf(m, f.n, f.k,
-    code(f)).formula``.
+    prf variable space; ``artifact`` is ``build_prf(m, f.n, f.k,
+    code(f))``, and the result satisfies its formula.
 
     Proofs shorter than ``m`` are padded by repeating the first line (a
     download) before the final one; the final line's premise indices are
@@ -201,8 +194,6 @@ def encode_witness(
         raise ValueError(f"witness proof invalid at step {report.step}: {report.reason}")
     if m < len(proof):
         raise ValueError(f"proof has {len(proof)} lines but only {m} fit")
-    if artifact is None:
-        artifact = build_prf(m, f.n, f.k, encode_cnf(f, strict=False))
     lay = artifact.layout
     if (lay.m, lay.n, lay.k) != (m, f.n, f.k) or lay.symbolic:
         raise ValueError("artifact does not match the requested embedding")
@@ -280,14 +271,14 @@ def split_disjoint_refutation(a: Cnf, b: Cnf, proof: ResolutionProof):
         # the restricted target is b itself.  A clause-free a mentions no
         # variable, and the empty restriction just checks the proof.
         rho = {v: res_a[1][v - 1] for v in mention_a}
-        return ("B", restrict_proof(proof.target, proof, rho))
+        return ("B", restrict_proof(proof, rho))
 
     res_b = dpll_sat(b)
     if res_b[0] == "sat":
         # a's clauses come first in the target, so surviving axiom
         # indices already match a's clause positions.
         rho = {v: res_b[1][v - 1] for v in mention_b}
-        return ("A", restrict_proof(proof.target, proof, rho))
+        return ("A", restrict_proof(proof, rho))
 
     if res_a[0] == "exhausted" or res_b[0] == "exhausted":
         raise RuntimeError("satisfiability probe exhausted its budget")

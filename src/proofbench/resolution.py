@@ -13,6 +13,8 @@ and the claimed clause is compared with it: ``'strict'`` mode requires them
 equal, ``'weakening'`` a superset whose extra literals lie over variables
 ``1..n``.  A refutation must end in the empty clause.  Its text has one
 spelling: :func:`parse_proof` reads exactly the texts :func:`emit_proof` writes.
+:func:`restrict_proof` restricts the CNF a proof refutes, which it reads
+from the proof's own target.
 """
 
 from __future__ import annotations
@@ -24,13 +26,13 @@ from typing import Mapping
 from .core import (
     CheckReport,
     Cnf,
+    checked,
     literal_table,
     nogc,
     read_clause,
     read_lines,
     read_number,
     restrict_clause,
-    restrict_cnf,
 )
 
 
@@ -128,8 +130,10 @@ def check_refutation(f: Cnf, proof: ResolutionProof, mode: str = "strict") -> Ch
 # Restriction
 
 
-def restrict_proof(f: Cnf, proof: ResolutionProof, rho: Mapping[int, int]) -> ResolutionProof:
-    """Turn a refutation of ``f`` into one of ``f`` restricted by ``rho``.
+def restrict_proof(proof: ResolutionProof, rho: Mapping[int, int]) -> ResolutionProof:
+    """Turn a refutation of ``proof.target`` into one of that CNF restricted
+    by ``rho``: satisfied clauses deleted, falsified literals stripped, ``n``
+    kept.
 
     Lines whose clause is satisfied by ``rho`` are dropped.  A resolution
     step whose pivot is assigned loses one premise to satisfaction (the
@@ -138,20 +142,20 @@ def restrict_proof(f: Cnf, proof: ResolutionProof, rho: Mapping[int, int]) -> Re
     line inherits that premise's justification.  The result never has more
     lines than the input and checks in weakening mode.
 
-    Raises ``ValueError`` if the restriction satisfies every clause of
-    ``f`` (there is nothing left to refute).
+    Raises ``ValueError`` if the restriction satisfies every clause of the
+    target (there is nothing left to refute).
     """
-    g = restrict_cnf(f, rho)
-    if g.k == 0:
-        raise ValueError("restriction trivializes the formula")
-
-    # Map original clause indices to their positions in g.
-    axiom_map: dict[int, int] = {}
-    pos = 0
+    f = proof.target
+    kept: list[frozenset[int]] = []
+    axiom_map: dict[int, int] = {}  # original clause index -> restricted one
     for l, cl in enumerate(f.clauses):
-        if restrict_clause(cl, rho) is not None:
-            axiom_map[l] = pos
-            pos += 1
+        rclause = restrict_clause(cl, rho)
+        if rclause is not None:
+            axiom_map[l] = len(kept)
+            kept.append(rclause)
+    if not kept:
+        raise ValueError("restriction trivializes the formula")
+    g = Cnf(f.n, tuple(kept))
 
     new_lines: list[ProofLine] = []
     new_index: dict[int, int] = {}
@@ -181,10 +185,7 @@ def restrict_proof(f: Cnf, proof: ResolutionProof, rho: Mapping[int, int]) -> Re
         new_lines.append((rclause, njust))
 
     result = ResolutionProof(g, tuple(new_lines))
-    report = check_refutation(g, result, mode="weakening")
-    if not report.ok:
-        raise RuntimeError(f"restricted proof invalid at step {report.step}: {report.reason}")
-    return result
+    return checked(result, check_refutation(g, result, mode="weakening"), "restricted proof")
 
 
 # ---------------------------------------------------------------------------

@@ -396,7 +396,7 @@ def test_criterion_09_friendly_disjunction_cases():
     short = dpll_refute(bottom)
     assert len(short.lines) == 1
     rho_two = decode_cnf(instantiate_template(tpl, encode_cnf(bottom).bits), strict=False)
-    witness = encode_witness(bottom, short, 2)
+    witness = encode_witness(bottom, short, 2, build_prf(2, 1, 1, encode_cnf(bottom, strict=False)))
     assert eval_cnf(rho_two, witness)
     assert dpll_sat(rho_two)[0] == "sat"
     outer = build_prf(4, rho_two.n, rho_two.k, encode_cnf(rho_two, strict=False))

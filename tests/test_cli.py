@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+import proofbench.cfrege as cfrege
 import proofbench.cli as cli
 import proofbench.encoder as encoder
 from proofbench.cli import (
@@ -24,7 +25,7 @@ from proofbench.cli import (
     main,
     parse_poly,
 )
-from proofbench.core import emit_dimacs, parse_dimacs, parse_gates
+from proofbench.core import CheckReport, emit_dimacs, parse_dimacs, parse_gates
 from proofbench.encoder import build_php, build_sat
 
 PAIR_DIMACS = "p cnf 1 2\n1 0\n-1 0\n"
@@ -469,6 +470,25 @@ def test_experiment_record_path_is_written_once():
     assert [name for name in functions if name.startswith("_exp_")] == []
 
 
+def test_generated_proofs_have_one_checked_exit():
+    # A generator whose own proof fails its check is an internal error:
+    # only core.checked turns a failing report into a RuntimeError, so every
+    # generator has one exit and one message.
+    pkg = Path(cli.__file__).parent
+    found = {
+        f"{path.stem}.{fn.name}"
+        for path in sorted(pkg.glob("*.py"))
+        for fn in ast.walk(ast.parse(path.read_text()))
+        if isinstance(fn, ast.FunctionDef)
+        and any(isinstance(node, ast.Attribute) and node.attr == "ok" for node in ast.walk(fn))
+        and any(
+            isinstance(node, ast.Raise) and getattr(getattr(node.exc, "func", None), "id", None) == "RuntimeError"
+            for node in ast.walk(fn)
+        )
+    }
+    assert found == {"core.checked"}
+
+
 def test_package_has_no_assert():
     # python -O strips assert statements, so every guard must raise
     pkg = Path(cli.__file__).parent
@@ -669,7 +689,7 @@ def test_experiment_json_to_stdout(capsys):
 @pytest.mark.parametrize(
     "name, error, args",
     [
-        ("refute_prf_nontaut", RuntimeError("reflection proof invalid at line 3"),
+        ("refute_prf_nontaut", RuntimeError("generated refutation invalid at step 3: forced"),
          ["lrfn-nontaut", "--count", "1", "--n", "2", "--k", "2", "--m", "4"]),
         ("dpll_refute", TimeoutError("dpll_refute: wall-clock cap reached"),
          ["lowerbound-trend", "--n", "1", "--max-lines", "3"]),
@@ -683,6 +703,19 @@ def test_internal_error_is_exit_three(monkeypatch, capsys, name, error, args):
     assert main(["experiment"] + args) == 3
     err = capsys.readouterr().err
     assert err == f"internal error: {error}\n"
+
+
+def test_rejected_cf_proof_is_exit_three(monkeypatch, capsys):
+    # rfn-cf-sizes measures the checked generator's proofs, so a proof that
+    # fails cf_check stops the run like any other generator's.
+    def reject(proof):
+        return CheckReport(False, 7, "rejected", len(proof), 0)
+
+    monkeypatch.setattr(cfrege, "cf_check", reject)
+    assert main(["experiment", "rfn-cf-sizes", "--max", "1"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "internal error: reflection proof invalid at step 7: rejected\n"
 
 
 def test_exhausted_trend_search_is_exit_three(monkeypatch, capsys):

@@ -35,7 +35,6 @@ from proofbench.core import (
     nogc,
     parse_dimacs,
     parse_gates,
-    restrict_cnf,
     shift_cnf,
     sorted_literals,
 )
@@ -533,12 +532,6 @@ def test_proof_with_no_lines_reads_back():
 
 # ---------------------------------------------------------------------------
 # restriction and shifting
-
-
-def test_restrict_cnf():
-    f = cnf(2, [[1, 2], [-1], [-2]])
-    assert restrict_cnf(f, {2: 0}) == cnf(2, [[1], [-1]])
-    assert restrict_cnf(f, {}) == f
 
 
 def test_shift_cnf_disjoint_union():

@@ -308,7 +308,7 @@ def test_dpll_refute_check_survives_optimization(monkeypatch):
         return CheckReport(False, 0, "rejected", len(proof.lines), 0)
 
     monkeypatch.setattr(oracle, "check_refutation", reject)
-    with pytest.raises(RuntimeError, match="internal refutation invalid"):
+    with pytest.raises(RuntimeError, match="DPLL refutation invalid at step 0: rejected"):
         dpll_refute(PAIR)
 
 
@@ -661,13 +661,16 @@ def test_min_length_certifies_criterion_5_within_a_node_budget(n, nodes):
 
 def test_min_length_witness_check_survives_optimization(monkeypatch):
     # The witness self-check is an explicit raise, not an assert, so it
-    # also runs under ``python -O``.
+    # also runs under ``python -O``.  The one-line refutation of an input
+    # empty clause goes through the same check.
     def reject(f, proof, mode="strict"):
         return CheckReport(False, 0, "rejected", len(proof.lines), 0)
 
     monkeypatch.setattr(oracle, "check_refutation", reject)
-    with pytest.raises(RuntimeError, match="minimal witness fails strict check"):
+    with pytest.raises(RuntimeError, match="minimal refutation invalid at step 0: rejected"):
         min_refutation_length(PAIR, 5)
+    with pytest.raises(RuntimeError, match="minimal refutation invalid at step 0: rejected"):
+        min_refutation_length(cnf(1, [[1], []]), 1)
 
 
 # ---------------------------------------------------------------------------

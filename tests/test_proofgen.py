@@ -142,7 +142,7 @@ def test_witness_padding_round_trip():
 def test_witness_errors():
     proof = dpll_refute(PAIR)
     with pytest.raises(ValueError, match="fit"):
-        encode_witness(PAIR, proof, 2)
+        encode_witness(PAIR, proof, 2, build_prf(2, 1, 2, encode_cnf(PAIR)))
     art = build_prf(4, 1, 2, encode_cnf(PAIR))
     with pytest.raises(ValueError, match="match"):
         encode_witness(PAIR, proof, 3, art)
@@ -151,10 +151,4 @@ def test_witness_errors():
         encode_witness(PAIR, proof, 3, other)
     bogus = ResolutionProof(PAIR, ((frozenset(), ("A", 0)),))
     with pytest.raises(ValueError, match="invalid at step 0"):
-        encode_witness(PAIR, bogus, 3)
-
-
-def test_witness_defaults_to_fresh_artifact():
-    proof = dpll_refute(PAIR)
-    bits = encode_witness(PAIR, proof, 3)
-    assert eval_cnf(_target(PAIR, 3), bits)
+        encode_witness(PAIR, bogus, 3, build_prf(3, 1, 2, encode_cnf(PAIR)))

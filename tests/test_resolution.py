@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 import proofbench
 import proofbench.resolution as resolution
-from proofbench.core import Cnf, cnf, emit_dimacs, eval_cnf, parse_dimacs, restrict_cnf
+from proofbench.core import Cnf, cnf, emit_dimacs, eval_cnf, parse_dimacs, restrict_clause
 from proofbench.encoder import build_php
 from proofbench.oracle import dpll_refute, dpll_sat
 from proofbench.proofgen import join_disjoint, refute_prf_nontaut, split_disjoint_refutation
@@ -278,8 +278,8 @@ def test_package_docstring_names_every_module():
 
 
 def test_restrict_empty_assignment_is_identity():
-    out = restrict_proof(PAIR, PAIR_PROOF, {})
-    assert out.lines == PAIR_PROOF.lines
+    out = restrict_proof(PAIR_PROOF, {})
+    assert out.target == PAIR and out.lines == PAIR_PROOF.lines
     assert check_refutation(PAIR, out, mode="weakening").ok
 
 
@@ -296,10 +296,9 @@ def test_restrict_five_line_example():
         ),
     )
     assert check_refutation(f, proof).ok
-    out = restrict_proof(f, proof, {2: 0})
-    g = restrict_cnf(f, {2: 0})
-    assert g == cnf(2, [[1], [-1]])
-    rep = check_refutation(g, out, mode="weakening")
+    out = restrict_proof(proof, {2: 0})
+    assert out.target == cnf(2, [[1], [-1]])
+    rep = check_refutation(out.target, out, mode="weakening")
     assert rep.ok and rep.lines <= len(proof.lines)
 
 
@@ -307,7 +306,7 @@ def test_restrict_trivializes():
     f = cnf(1, [[1]])
     proof = ResolutionProof(f, ((frozenset({1}), ("A", 0)),))
     with pytest.raises(ValueError, match="trivializes"):
-        restrict_proof(f, proof, {1: 1})
+        restrict_proof(proof, {1: 1})
 
 
 def _random_unsat_with_proof(rng, max_n=4):
@@ -331,8 +330,10 @@ def test_restriction_never_lengthens_suite():
             v: rng.randint(0, 1)
             for v in rng.sample(range(1, f.n + 1), rng.randint(0, f.n - 1) if f.n > 1 else 0)
         }
-        out = restrict_proof(f, proof, rho)
-        rep = check_refutation(restrict_cnf(f, rho), out, mode="weakening")
+        out = restrict_proof(proof, rho)
+        kept = (restrict_clause(cl, rho) for cl in f.clauses)
+        assert out.target == Cnf(f.n, tuple(cl for cl in kept if cl is not None))
+        rep = check_refutation(out.target, out, mode="weakening")
         assert rep.ok and rep.lines <= len(proof.lines)
 
 
