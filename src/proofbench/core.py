@@ -98,7 +98,7 @@ class CheckReport:
     ``bit_size`` 0.  A failing report has ``bit_size`` 0: a proof that does
     not check may have no text form at all.
 
-    Every generator hands its finished proof and this report to
+    A generator hands its finished proof and this report to
     :func:`checked`, the one place where a rejection becomes an error.
     """
 

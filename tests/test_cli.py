@@ -482,7 +482,8 @@ def test_generated_proofs_have_one_checked_exit():
         if isinstance(fn, ast.FunctionDef)
         and any(isinstance(node, ast.Attribute) and node.attr == "ok" for node in ast.walk(fn))
         and any(
-            isinstance(node, ast.Raise) and getattr(getattr(node.exc, "func", None), "id", None) == "RuntimeError"
+            isinstance(node, ast.Raise)
+            and getattr(getattr(node.exc, "func", None), "id", None) == "RuntimeError"
             for node in ast.walk(fn)
         )
     }
